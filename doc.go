@@ -31,9 +31,9 @@
 //     the rows that reach it), and to a row-at-a-time fallback that
 //     handles the shapes the kernels don't and serves as the semantic
 //     oracle in the equivalence tests (ExecOptions.ForceRowExprs).
-//   - Results stream batch-wise out of the engine: Session.ExecStream
-//     hands each result batch to a sink, and internal/web's SQL endpoint
-//     serializes HTTP responses (CSV, JSON, XML, HTML) directly from the
+//   - Results stream batch-wise out of the engine:
+//     Session.ExecStreamContext hands each result batch to a sink, and
+//     internal/web's SQL endpoint serializes HTTP responses (CSV, JSON, XML, HTML) directly from the
 //     columnar batches with the paper's public limits (1,000 rows / 30
 //     seconds) applied by truncating the final batch. Serializers keep
 //     one reused output buffer per stream and render every value through
@@ -91,9 +91,11 @@
 //     and Releases them after its child's Run returns — by then the last
 //     emit that could reference the batch has completed, because the
 //     batch contract forbids consumers from retaining a batch past the
-//     emit callback. Released column arrays recycle through size-classed
-//     pools (a small class serves index seeks whose plan-time dive
-//     proved a handful of rows; everything else uses full
+//     emit callback. (Scratch a filter or projection hands one worker
+//     inside its sink factory is owned by the execution instead and
+//     released when the plan finishes.) Released column arrays recycle
+//     through size-classed pools (a small class serves index seeks whose
+//     plan-time dive proved a handful of rows; everything else uses full
 //     val.BatchSize), and a batch shell keeps its arrays attached so the
 //     common same-query-shape steady state touches no pool at all.
 //     Double-release panics; forgetting to release leaks nothing (the GC

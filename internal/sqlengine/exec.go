@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skyserver/internal/btree"
 	"skyserver/internal/htm"
 	"skyserver/internal/storage"
 	"skyserver/internal/val"
@@ -55,9 +54,17 @@ type ExecCtx struct {
 
 	// Stats.
 	RowsScanned  atomic.Int64
-	RowsOutput   atomic.Int64
 	PagesScanned atomic.Int64
+
+	// scratch is the per-worker memory pass-through operators acquire
+	// inside their sinkFactory calls (see own); the plan's driver releases
+	// it when the plan finishes. Factory calls are sequential on the
+	// driving goroutine, so the list needs no lock.
+	scratch    []releaser
+	scratchBuf [8]releaser
 }
+
+type releaser interface{ Release() }
 
 // queryCtx returns the query's context (never nil).
 func (ctx *ExecCtx) queryCtx() context.Context {
@@ -98,6 +105,29 @@ func (ctx *ExecCtx) getArena() *val.Arena {
 		return val.NewNoReuseArena()
 	}
 	return val.GetArena()
+}
+
+// own hands the execution a pooled object a pass-through operator gives one
+// worker (a batch, an arena, a serial sink): releaseScratch returns it once
+// the plan has finished — on success, error and early stop alike — so those
+// operators keep no per-worker bookkeeping of their own. Only call it from
+// inside a sinkFactory or a Run prologue (sequential by contract).
+func own[T releaser](ctx *ExecCtx, r T) T {
+	if ctx.scratch == nil {
+		ctx.scratch = ctx.scratchBuf[:0]
+	}
+	ctx.scratch = append(ctx.scratch, r)
+	return r
+}
+
+// releaseScratch releases everything own recorded, newest first (the order
+// nested defers would have used), ready for the batch's next statement.
+func (ctx *ExecCtx) releaseScratch() {
+	for i := len(ctx.scratch) - 1; i >= 0; i-- {
+		ctx.scratch[i].Release()
+		ctx.scratch[i] = nil
+	}
+	ctx.scratch = ctx.scratch[:0]
 }
 
 // getRowStore acquires a slab row materializer for operators that hold
@@ -153,17 +183,77 @@ func mapCtxErr(err error) error {
 // and valid only for the duration of the call: consumers that retain data
 // must copy it out (individual val.Values are safe to keep — producers
 // never reuse blob backing bytes, only batch structure). Consumers may
-// narrow the batch's selection vector in place. Producers that run
-// multiple goroutines must serialize their emit calls, so a consumer never
-// sees two concurrent invocations.
+// narrow the batch's selection vector in place. A batchFn is only ever
+// called from the one worker it was made for (see sinkFactory), so it may
+// keep unsynchronized private state.
 type batchFn func(b *val.Batch) error
 
-// Node is a physical plan operator. Run pushes the operator's output to
-// emit in batches of up to val.BatchSize rows.
+// sinkFactory is the operator contract — the only way an operator consumes
+// input. A producer calls it sequentially (never concurrently), once per
+// worker, before any batch flows to any of its sinks; the returned batchFn
+// is then called only from that worker; and the returned finalizer (may be
+// nil) runs serially in worker order on the driving goroutine after every
+// worker has finished successfully — it is skipped when the run fails. The
+// shape mirrors storage.ScanBatchesCtx's per-worker callback. Serial
+// execution is the one-worker case: a producer with a single output stream
+// calls mk(0) once.
+type sinkFactory func(worker int) (batchFn, func() error)
+
+// Node is a physical plan operator. Run pushes the operator's output, in
+// batches of up to val.BatchSize rows, into the sinks mk hands its workers.
+// Operators that hold only per-worker state (scan, filter, project) pass
+// the factory through with their own stage wrapped around each sink;
+// operators that need all their input first (agg, sort, top-k) install one
+// private accumulator per worker and produce a single output stream.
 type Node interface {
 	Columns() []ColRef
-	Run(ctx *ExecCtx, emit batchFn) error
+	Run(ctx *ExecCtx, mk sinkFactory) error
 	explainTo(sb *strings.Builder, depth int)
+}
+
+// serialSink adapts a consumer that needs one ordered stream — the plan
+// root, a join's inputs, DISTINCT, TOP — to the contract: every worker gets
+// the same mutex-serialized emit and no finalizer, so emit never sees two
+// concurrent calls however many workers the producer runs. The adapter is
+// pooled with its closures bound once, so asking for one ordered stream
+// costs an index-seek plan no allocation; the execution owns it until the
+// plan finishes (see own).
+func serialSink(ctx *ExecCtx, emit batchFn) sinkFactory {
+	s := own(ctx, serialPool.Get().(*serial))
+	s.emit = emit
+	return s.mk
+}
+
+type serial struct {
+	mu   sync.Mutex
+	emit batchFn
+	push batchFn     // locks mu around emit
+	mk   sinkFactory // hands every worker push
+}
+
+var serialPool = sync.Pool{New: func() any {
+	s := new(serial)
+	s.push = func(b *val.Batch) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.emit(b)
+	}
+	s.mk = func(int) (batchFn, func() error) { return s.push, nil }
+	return s
+}}
+
+func (s *serial) Release() {
+	s.emit = nil
+	serialPool.Put(s)
+}
+
+// finish ends a producer's stream: the finalizer runs only when the output
+// was pushed successfully.
+func finish(err error, done func() error) error {
+	if err != nil || done == nil {
+		return err
+	}
+	return done()
 }
 
 func indent(sb *strings.Builder, depth int) {
@@ -179,40 +269,22 @@ func Explain(n Node) string {
 	return sb.String()
 }
 
-// sinkFactory hands each producer worker its own downstream sink,
-// mirroring storage.ScanBatchesCtx's per-worker callback shape: it is
-// called sequentially (never concurrently) once per worker before any
-// rows flow, the returned batchFn is then called only from that worker,
-// and the returned finalizer (may be nil) runs serially in worker order
-// on the driving goroutine after every worker has finished successfully —
-// it is not called when the run fails.
-type sinkFactory func(worker int) (batchFn, func() error)
-
-// parallelNode is the opt-in half of the operator contract: a node that
-// can feed per-worker sinks without funneling through one serialized
-// emit. Operators that hold only per-worker state (scan, filter, project)
-// implement it and pass the factory through; consumers that need all
-// input before producing (agg, sort, top-k) call runParallel to install
-// one private accumulator per worker.
-type parallelNode interface {
-	Node
-	RunParallel(ctx *ExecCtx, mk sinkFactory) error
-}
-
-// runParallel runs child against per-worker sinks when the child supports
-// them; otherwise the worker-0 sink consumes the child's ordinary emit
-// stream (which the child serializes internally per the batchFn contract).
-func runParallel(ctx *ExecCtx, child Node, mk sinkFactory) error {
-	if p, ok := child.(parallelNode); ok {
-		return p.RunParallel(ctx, mk)
+// flushFiltered is the tail of every producer that assembles rows into its
+// own batch: filter the batch with the producer's pushed-down predicate
+// (nil = none), push the survivors to emit, and reset it for refilling.
+func flushFiltered(ctx *ExecCtx, b *val.Batch, pred *compiledPred, ar *val.Arena, emit batchFn) error {
+	if b.Size() == 0 {
+		return nil
 	}
-	sink, done := mk(0)
-	if err := child.Run(ctx, sink); err != nil {
+	if err := pred.filter(ctx, b, ar); err != nil {
 		return err
 	}
-	if done != nil {
-		return done()
+	if b.Len() > 0 {
+		if err := emit(b); err != nil {
+			return err
+		}
 	}
+	b.Reset()
 	return nil
 }
 
@@ -302,10 +374,11 @@ func outerCopyCols(ob *val.Batch, outerWidth int, outNeeded []bool, scratch val.
 type dualNode struct{}
 
 func (dualNode) Columns() []ColRef { return nil }
-func (dualNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (dualNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	emit, done := mk(0)
 	b := val.NewBatch(0)
 	b.Grow()
-	return emit(b)
+	return finish(emit(b), done)
 }
 func (dualNode) explainTo(sb *strings.Builder, depth int) {
 	indent(sb, depth)
@@ -314,14 +387,13 @@ func (dualNode) explainTo(sb *strings.Builder, depth int) {
 
 // ---- heap scan ----
 
-// scanNode is a (possibly parallel) sequential scan of a base table heap
-// with an optional pushed-down filter: Figure 11's "parallel table scan …
-// evaluating the predicate on each of the 14M objects". Each worker
-// decodes page-worth record slices into its own batch, filters it with the
-// vectorized predicate, and pushes it into its own downstream sink
-// (sinkFactory), so decode, predicate evaluation, and — when the consumer
-// opts in — everything above stay fully parallel; the plain Run entry
-// point wraps one emit in a mutex for consumers that do not.
+// scanNode is a (possibly parallel, possibly sharded) sequential scan of a
+// base table heap with an optional pushed-down filter: Figure 11's
+// "parallel table scan … evaluating the predicate on each of the 14M
+// objects". Each worker decodes page-worth record slices into its own
+// batch, filters it with the vectorized predicate, and pushes it into its
+// own downstream sink, so decode, predicate evaluation and everything
+// above up to the first operator that asks for one stream stay parallel.
 type scanNode struct {
 	table  *Table
 	cols   []ColRef
@@ -344,21 +416,6 @@ type scanNode struct {
 }
 
 func (s *scanNode) Columns() []ColRef { return s.cols }
-
-// Run is the serialized-emit fallback: every worker shares one
-// mutex-wrapped sink, reproducing the pre-parallel emit contract for
-// consumers that don't pull per-worker sinks.
-func (s *scanNode) Run(ctx *ExecCtx, emit batchFn) error {
-	var mu sync.Mutex
-	sink := func(b *val.Batch) error {
-		mu.Lock()
-		defer mu.Unlock()
-		return emit(b)
-	}
-	return s.RunParallel(ctx, func(int) (batchFn, func() error) {
-		return sink, nil
-	})
-}
 
 // routedShards evaluates the route bounds against the execution's
 // parameters and intersects the resulting HTM interval with the shard
@@ -402,265 +459,159 @@ func (s *scanNode) routedShards(ctx *ExecCtx) []int {
 	return s.table.shards.Plan().Route([]htm.Range{{Lo: lo, Hi: hi}})
 }
 
-func (s *scanNode) RunParallel(ctx *ExecCtx, mk sinkFactory) error {
-	if g := s.table.shards; s.table.ShardCount() > 1 {
-		shards := s.routedShards(ctx)
+// oneShard is the shard list of an unsharded table.
+var oneShard = []int{0}
+
+// shardRun is one shard's share of a scan: its workers are the global
+// workers base … base+dop-1.
+type shardRun struct {
+	si, dop, base int
+	err           error
+}
+
+// scanWorker is one global worker's private decode → filter → sink stage.
+type scanWorker struct {
+	s           *scanNode
+	ctx         *ExecCtx
+	batch       *val.Batch
+	ar          *val.Arena
+	sink        batchFn
+	done        func() error
+	rows, pages int64
+}
+
+// page decodes one heap page's records into the worker's batch, flushing
+// downstream whenever it fills.
+func (w *scanWorker) page(rids []storage.RID, recs [][]byte) error {
+	w.pages++
+	w.rows += int64(len(recs))
+	if w.rows%4096 < int64(len(recs)) {
+		if err := w.ctx.checkDeadline(); err != nil {
+			return err
+		}
+	}
+	width := len(w.s.table.Cols)
+	for _, rec := range recs {
+		idx := w.batch.Grow()
+		if _, err := w.batch.DecodeInto(idx, 0, rec, width, w.s.needed); err != nil {
+			return err
+		}
+		if w.batch.Full() {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// flush filters the worker's batch and pushes the survivors to its sink.
+func (w *scanWorker) flush() error {
+	return flushFiltered(w.ctx, w.batch, w.s.filter, w.ar, w.sink)
+}
+
+// Run scans the routed shards' heaps — the one heap of an unsharded table
+// is the one-shard case of the same code. Every (shard, local worker) pair
+// is one global worker under the sinkFactory contract: sinks and decode
+// state are built sequentially up front, each shard's ScanBatchesCtx runs
+// against its own scan pool, and after every shard joins cleanly the
+// consumer finalizers run serially in global worker order — so partial
+// aggregates and sorted runs merge in a deterministic order and sharded
+// output stays byte-identical to single-shard. One shard runs inline on
+// the caller; several fan out on one goroutine each under a shared
+// cancelable context (one query's retry budget and deadline span all
+// shards, and a failing shard stops its siblings).
+func (s *scanNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	shards := oneShard
+	g := s.table.shards
+	if n := s.table.ShardCount(); n > 1 {
+		shards = s.routedShards(ctx)
 		spatial := shards != nil
-		if shards == nil {
-			shards = make([]int, s.table.ShardCount())
+		if !spatial {
+			shards = make([]int, n)
 			for i := range shards {
 				shards[i] = i
 			}
 		}
 		g.RecordRoute(shards, spatial)
-		switch len(shards) {
-		case 0:
-			return nil
-		case 1:
-			return s.scanShard(ctx, shards[0], mk)
-		default:
-			return s.scanScatter(ctx, shards, mk)
-		}
 	}
-	return s.scanShard(ctx, 0, mk)
-}
-
-// scanShard scans one shard's heap — the whole table when unsharded.
-// This is the PR 8 parallel scan unchanged: ScanBatchesCtx calls mk
-// sequentially per worker and runs the finalizers serially in worker
-// order after a successful join.
-func (s *scanNode) scanShard(ctx *ExecCtx, si int, mk sinkFactory) error {
-	width := len(s.table.Cols)
-	var rowsSeen atomic.Int64
-	var pagesSeen atomic.Int64
-	heap := s.table.heaps[si]
-	// Per-worker batches and arenas, released together once every worker
-	// has exited (ScanBatches joins its goroutines before returning, on
-	// success and error alike). The mk callback runs sequentially on this
-	// goroutine before the workers start, so the append needs no lock.
-	type workerMem struct {
-		batch *val.Batch
-		ar    *val.Arena
-	}
-	workers := make([]workerMem, 0, 8)
-	dop := ctx.scanDOP(heap.NumVolumes())
-	err := heap.ScanBatchesCtx(ctx.queryCtx(), dop, func(worker int) (storage.RecBatchFunc, func() error) {
-		batch := ctx.getBatch(width, val.BatchSize, s.needed)
-		ar := ctx.getArena()
-		workers = append(workers, workerMem{batch, ar})
-		sink, done := mk(worker)
-		flush := func() error {
-			if batch.Size() == 0 {
-				return nil
-			}
-			if err := s.filter.filter(ctx, batch, ar); err != nil {
-				return err
-			}
-			if batch.Len() > 0 {
-				if err := sink(batch); err != nil {
-					return err
-				}
-			}
-			batch.Reset()
-			return nil
-		}
-		// The storage-level flush runs serially in worker order on the
-		// driving goroutine after a successful join — exactly where the
-		// sinkFactory contract wants the per-worker finalizer.
-		final := flush
-		if done != nil {
-			final = func() error {
-				if err := flush(); err != nil {
-					return err
-				}
-				return done()
-			}
-		}
-		fn := func(rids []storage.RID, recs [][]byte) error {
-			ctx.PagesScanned.Add(1)
-			pagesSeen.Add(1)
-			if n := rowsSeen.Add(int64(len(recs))); n%4096 < int64(len(recs)) {
-				if err := ctx.checkDeadline(); err != nil {
-					return err
-				}
-			}
-			for _, rec := range recs {
-				idx := batch.Grow()
-				if _, err := batch.DecodeInto(idx, 0, rec, width, s.needed); err != nil {
-					return err
-				}
-				if batch.Full() {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		return fn, final
-	})
-	for _, w := range workers {
-		w.batch.Release()
-		w.ar.Release()
-	}
-	ctx.RowsScanned.Add(rowsSeen.Load())
-	if g := s.table.shards; s.table.ShardCount() > 1 {
-		g.AddPages(si, uint64(pagesSeen.Load()))
-	}
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// The storage scan loop surfaces raw context errors; report them
-		// as the engine's query errors.
-		err = mapCtxErr(err)
-	}
-	return err
-}
-
-// scanScatter fans one logical scan out across the routed shards'
-// heaps concurrently and gathers the results through the PR 8 per-worker
-// sink contract: every (shard, local worker) pair becomes one global
-// worker whose sink and decode state are built sequentially up front,
-// each shard's ScanBatchesCtx runs on its own goroutine against its own
-// scan pool with a shared cancelable context (one query's retry budget
-// and deadline span all shards), and after every shard joins cleanly the
-// consumer finalizers run serially in global worker order — so partial
-// aggregates and sorted runs merge in a deterministic order and sharded
-// output stays byte-identical to single-shard.
-func (s *scanNode) scanScatter(ctx *ExecCtx, shards []int, mk sinkFactory) error {
-	width := len(s.table.Cols)
-	var rowsSeen atomic.Int64
-	type shardRun struct {
-		si    int
-		dop   int
-		base  int // first global worker index
-		pages atomic.Int64
-	}
-	var runs []*shardRun
+	runs := make([]shardRun, 0, len(shards))
 	total := 0
 	for _, si := range shards {
-		heap := s.table.heaps[si]
-		pages := heap.Pages()
-		if pages == 0 {
-			continue
-		}
-		// Upper bound on the workers the storage layer will start; its
-		// own clamp only ever lowers dop further, leaving trailing global
+		// Upper bound on the workers the storage layer will start; its own
+		// clamp only ever lowers dop further, leaving trailing global
 		// workers idle — harmless, consumers accept workers with no rows.
+		heap := s.table.heaps[si]
 		dop := ctx.scanDOP(heap.NumVolumes())
-		if uint64(dop) > pages {
+		if pages := heap.Pages(); uint64(dop) > pages {
 			dop = int(pages)
 		}
-		runs = append(runs, &shardRun{si: si, dop: dop, base: total})
-		total += dop
+		if dop > 0 {
+			runs = append(runs, shardRun{si: si, dop: dop, base: total})
+			total += dop
+		}
 	}
-	if len(runs) == 0 {
+	if total == 0 {
 		return nil
 	}
-	if len(runs) == 1 {
-		return s.scanShard(ctx, runs[0].si, mk)
-	}
-	type worker struct {
-		batch *val.Batch
-		ar    *val.Arena
-		done  func() error
-		flush func() error
-		fn    storage.RecBatchFunc
-	}
-	workers := make([]*worker, total)
-	for _, run := range runs {
-		run := run
-		for lw := 0; lw < run.dop; lw++ {
-			batch := ctx.getBatch(width, val.BatchSize, s.needed)
-			ar := ctx.getArena()
-			sink, done := mk(run.base + lw)
-			w := &worker{batch: batch, ar: ar, done: done}
-			w.flush = func() error {
-				if batch.Size() == 0 {
-					return nil
-				}
-				if err := s.filter.filter(ctx, batch, ar); err != nil {
-					return err
-				}
-				if batch.Len() > 0 {
-					if err := sink(batch); err != nil {
-						return err
-					}
-				}
-				batch.Reset()
-				return nil
-			}
-			w.fn = func(rids []storage.RID, recs [][]byte) error {
-				ctx.PagesScanned.Add(1)
-				run.pages.Add(1)
-				if n := rowsSeen.Add(int64(len(recs))); n%4096 < int64(len(recs)) {
-					if err := ctx.checkDeadline(); err != nil {
-						return err
-					}
-				}
-				for _, rec := range recs {
-					idx := batch.Grow()
-					if _, err := batch.DecodeInto(idx, 0, rec, width, s.needed); err != nil {
-						return err
-					}
-					if batch.Full() {
-						if err := w.flush(); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}
-			workers[run.base+lw] = w
+	width := len(s.table.Cols)
+	workers := make([]scanWorker, total)
+	for i := range workers {
+		sink, done := mk(i)
+		workers[i] = scanWorker{
+			s: s, ctx: ctx, sink: sink, done: done,
+			batch: ctx.getBatch(width, val.BatchSize, s.needed),
+			ar:    ctx.getArena(),
 		}
 	}
-	// Scatter: one goroutine per shard. A failing shard cancels the
-	// others; each shard's storage finalizer only flushes that worker's
-	// residual batch (into its private sink), so cross-shard flush order
-	// cannot affect the merged result.
-	qctx, cancel := context.WithCancel(ctx.queryCtx())
-	defer cancel()
-	errs := make([]error, len(runs))
-	var wg sync.WaitGroup
-	for ri, run := range runs {
-		wg.Add(1)
-		go func(ri int, run *shardRun) {
-			defer wg.Done()
-			err := s.table.heaps[run.si].ScanBatchesCtx(qctx, run.dop, func(lw int) (storage.RecBatchFunc, func() error) {
-				w := workers[run.base+lw]
-				return w.fn, w.flush
-			})
-			if err != nil {
-				errs[ri] = err
-				cancel()
-			}
-		}(ri, run)
+	if len(runs) == 1 {
+		s.scanRun(ctx.queryCtx(), &runs[0], workers)
+	} else {
+		qctx, cancel := context.WithCancel(ctx.queryCtx())
+		var wg sync.WaitGroup
+		for i := range runs {
+			wg.Add(1)
+			go func(r *shardRun) {
+				defer wg.Done()
+				s.scanRun(qctx, r, workers)
+				if r.err != nil {
+					cancel()
+				}
+			}(&runs[i])
+		}
+		wg.Wait()
+		cancel()
 	}
-	wg.Wait()
-	for _, w := range workers {
-		w.batch.Release()
-		w.ar.Release()
+	var rows int64
+	for _, r := range runs {
+		var pages int64
+		for i := r.base; i < r.base+r.dop; i++ {
+			w := &workers[i]
+			w.batch.Release()
+			w.ar.Release()
+			rows += w.rows
+			pages += w.pages
+		}
+		ctx.PagesScanned.Add(pages)
+		if s.table.ShardCount() > 1 {
+			g.AddPages(r.si, uint64(pages))
+		}
 	}
-	ctx.RowsScanned.Add(rowsSeen.Load())
-	g := s.table.shards
-	for _, run := range runs {
-		g.AddPages(run.si, uint64(run.pages.Load()))
-	}
-	// Prefer real failures over the context errors our own cancel
-	// induced on sibling shards; surface a context error only when no
-	// shard failed for another reason (i.e. the query itself was
-	// canceled or timed out).
+	ctx.RowsScanned.Add(rows)
+	// Prefer real failures over context errors — with several shards our
+	// own cancel induces those on the siblings of a failed one. The storage
+	// scan loop surfaces raw context errors; report them as the engine's
+	// query errors.
 	var real []error
 	var ctxErr error
-	for _, e := range errs {
-		if e == nil {
-			continue
+	for _, r := range runs {
+		switch {
+		case r.err == nil:
+		case errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded):
+			ctxErr = r.err
+		default:
+			real = append(real, r.err)
 		}
-		if errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded) {
-			if ctxErr == nil {
-				ctxErr = e
-			}
-			continue
-		}
-		real = append(real, e)
 	}
 	switch {
 	case len(real) == 1:
@@ -670,18 +621,25 @@ func (s *scanNode) scanScatter(ctx *ExecCtx, shards []int, mk sinkFactory) error
 	case ctxErr != nil:
 		return mapCtxErr(ctxErr)
 	}
-	// Gather: all shards joined clean — run the consumer finalizers
-	// serially in global worker order, exactly as a single ScanBatchesCtx
-	// would have.
-	for _, w := range workers {
-		if w.done == nil {
-			continue
-		}
-		if err := w.done(); err != nil {
+	for i := range workers {
+		if err := finish(nil, workers[i].done); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// scanRun scans one shard's heap with the run's slice of the workers, then
+// drains each worker's residual rows — into its private sink, so the order
+// shards finish in cannot affect the merged result.
+func (s *scanNode) scanRun(qctx context.Context, r *shardRun, workers []scanWorker) {
+	mine := workers[r.base : r.base+r.dop]
+	r.err = s.table.heaps[r.si].ScanBatchesCtx(qctx, r.dop, func(lw int) (storage.RecBatchFunc, func() error) {
+		return mine[lw].page, nil
+	})
+	for i := 0; i < len(mine) && r.err == nil; i++ {
+		r.err = mine[i].flush()
+	}
 }
 
 func (s *scanNode) explainTo(sb *strings.Builder, depth int) {
@@ -744,7 +702,8 @@ type indexScanNode struct {
 
 func (s *indexScanNode) Columns() []ColRef { return s.cols }
 
-func (s *indexScanNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (s *indexScanNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	emit, done := mk(0)
 	// Evaluate bounds. eq and lo share one backing row (lo is eq plus the
 	// optional range start), so bound evaluation is a single allocation.
 	bounds := make(val.Row, len(s.eqExprs), len(s.eqExprs)+1)
@@ -780,11 +739,12 @@ func (s *indexScanNode) Run(ctx *ExecCtx, emit batchFn) error {
 		buf = storage.GetPageBuf()
 		defer storage.PutPageBuf(buf)
 	}
-	// Small-result fast path: a seek whose plan-time dive proved a handful
-	// of rows acquires the pool's small column class instead of zeroing
-	// 1,024-slot arrays per needed column — the fix for the point-lookup
-	// (Q8/Q9/Q10A) regression. If the estimate undershoots, the first full
-	// small batch upgrades to full-size ones.
+	// Small-result case: a seek whose plan-time dive proved a handful of
+	// rows acquires the pool's small column class, so a plan that mixes a
+	// tiny seek with full-size join and projection batches does not churn
+	// 1,024-slot arrays through the shells (rent: ARCHITECTURE.md). If the
+	// estimate undershoots, the first full small batch upgrades to
+	// full-size ones.
 	capacity := val.BatchSize
 	if s.estRows >= 0 && s.estRows <= val.SmallBatchSize {
 		capacity = val.SmallBatchSize
@@ -795,19 +755,10 @@ func (s *indexScanNode) Run(ctx *ExecCtx, emit batchFn) error {
 	defer ar.Release()
 	keyDst, inclDst := s.keyDst, s.inclDst
 	flush := func() error {
-		if batch.Size() == 0 {
-			return nil
-		}
 		wasFull := batch.Full()
-		if err := s.filter.filter(ctx, batch, ar); err != nil {
+		if err := flushFiltered(ctx, batch, s.filter, ar, emit); err != nil {
 			return err
 		}
-		if batch.Len() > 0 {
-			if err := emit(batch); err != nil {
-				return err
-			}
-		}
-		batch.Reset()
 		if wasFull && batch.Cap() < val.BatchSize {
 			batch.Release()
 			batch = ctx.getBatch(width, val.BatchSize, s.needed)
@@ -875,7 +826,7 @@ func (s *indexScanNode) Run(ctx *ExecCtx, emit batchFn) error {
 		innerErr = flush()
 	}
 	ctx.RowsScanned.Add(rows)
-	return innerErr
+	return finish(innerErr, done)
 }
 
 func (s *indexScanNode) explainTo(sb *strings.Builder, depth int) {
@@ -905,7 +856,8 @@ type tvfNode struct {
 
 func (t *tvfNode) Columns() []ColRef { return t.cols }
 
-func (t *tvfNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (t *tvfNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	emit, done := mk(0)
 	args := make([]val.Value, len(t.args))
 	for i, a := range t.args {
 		v, err := a(ctx, nil)
@@ -916,7 +868,7 @@ func (t *tvfNode) Run(ctx *ExecCtx, emit batchFn) error {
 	}
 	// The function streams val.Batch directly — no []val.Row
 	// materialization between the function and the plan.
-	return t.fn.Fn(ctx, args, TVFEmit(emit))
+	return finish(t.fn.Fn(ctx, args, TVFEmit(emit)), done)
 }
 
 func (t *tvfNode) explainTo(sb *strings.Builder, depth int) {
@@ -935,26 +887,13 @@ type memScanNode struct {
 
 func (m *memScanNode) Columns() []ColRef { return m.cols }
 
-func (m *memScanNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (m *memScanNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	emit, done := mk(0)
 	batch := ctx.getBatch(len(m.cols), len(m.mem.Rows), nil)
 	defer batch.Release()
 	ar := ctx.getArena()
 	defer ar.Release()
-	flush := func() error {
-		if batch.Size() == 0 {
-			return nil
-		}
-		if err := m.filter.filter(ctx, batch, ar); err != nil {
-			return err
-		}
-		if batch.Len() > 0 {
-			if err := emit(batch); err != nil {
-				return err
-			}
-		}
-		batch.Reset()
-		return nil
-	}
+	flush := func() error { return flushFiltered(ctx, batch, m.filter, ar, emit) }
 	for i, row := range m.mem.Rows {
 		if i%4096 == 4095 {
 			if err := ctx.checkDeadline(); err != nil {
@@ -968,7 +907,7 @@ func (m *memScanNode) Run(ctx *ExecCtx, emit batchFn) error {
 			}
 		}
 	}
-	return flush()
+	return finish(flush(), done)
 }
 
 func (m *memScanNode) explainTo(sb *strings.Builder, depth int) {
@@ -1013,13 +952,13 @@ type indexJoinNode struct {
 
 func (j *indexJoinNode) Columns() []ColRef { return j.cols }
 
-func (j *indexJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (j *indexJoinNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	emit, done := mk(0)
 	var buf []byte
 	if !j.covering {
 		buf = storage.GetPageBuf()
 		defer storage.PutPageBuf(buf)
 	}
-	var mu sync.Mutex // outer may be a parallel scan
 	outerWidth := len(j.cols) - j.innerWidth
 	out := ctx.getBatch(len(j.cols), val.BatchSize, j.outNeeded)
 	defer out.Release()
@@ -1033,30 +972,14 @@ func (j *indexJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
 	scratchBuf := make(val.Row, outerWidth+len(j.probeExprs))
 	outerScratch := scratchBuf[:outerWidth:outerWidth]
 	key := scratchBuf[outerWidth:]
-	flush := func() error {
-		if out.Size() == 0 {
-			return nil
-		}
-		if err := j.residual.filter(ctx, out, ar); err != nil {
-			return err
-		}
-		if out.Len() > 0 {
-			if err := emit(out); err != nil {
-				return err
-			}
-		}
-		out.Reset()
-		return nil
-	}
+	flush := func() error { return flushFiltered(ctx, out, j.residual, ar, emit) }
 	keyDst, inclDst := j.keyDst, j.inclDst
 	// Outer gather/replicate lists, recomputed per batch into one reused
 	// backing array sized for the worst case (every outer column in both).
 	colListBuf := make([]int, 0, 2*outerWidth)
 	readCols := colListBuf[:0:outerWidth]
 	writeCols := colListBuf[outerWidth : outerWidth : 2*outerWidth]
-	err := j.outer.Run(ctx, func(ob *val.Batch) error {
-		mu.Lock()
-		defer mu.Unlock()
+	err := j.outer.Run(ctx, serialSink(ctx, func(ob *val.Batch) error {
 		readCols, writeCols = outerCopyCols(ob, outerWidth, j.outNeeded, outerScratch, readCols, writeCols)
 		probed := int64(0)
 		sel := ob.Sel()
@@ -1111,11 +1034,11 @@ func (j *indexJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
 		}
 		ctx.RowsScanned.Add(probed)
 		return nil
-	})
-	if err != nil {
-		return err
+	}))
+	if err == nil {
+		err = flush()
 	}
-	return flush()
+	return finish(err, done)
 }
 
 func (j *indexJoinNode) explainTo(sb *strings.Builder, depth int) {
@@ -1150,22 +1073,19 @@ type nlJoinNode struct {
 
 func (j *nlJoinNode) Columns() []ColRef { return j.cols }
 
-func (j *nlJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (j *nlJoinNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	emit, done := mk(0)
 	innerWidth := len(j.inner.Columns())
 	store := ctx.getRowStore(innerWidth)
 	defer store.Release()
-	var mu sync.Mutex
-	if err := j.inner.Run(ctx, func(b *val.Batch) error {
-		mu.Lock()
-		defer mu.Unlock()
+	if err := j.inner.Run(ctx, serialSink(ctx, func(b *val.Batch) error {
 		b.Each(func(i int) { b.RowAt(i, store.NewRow()) })
 		return nil
-	}); err != nil {
+	})); err != nil {
 		return err
 	}
 	innerRows := store.Rows()
 	outerWidth := len(j.cols) - innerWidth
-	var emitMu sync.Mutex
 	rows := int64(0)
 	out := ctx.getBatch(len(j.cols), val.BatchSize, j.outNeeded)
 	defer out.Release()
@@ -1181,26 +1101,10 @@ func (j *nlJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
 			innerCols = append(innerCols, c)
 		}
 	}
-	flush := func() error {
-		if out.Size() == 0 {
-			return nil
-		}
-		if err := j.cond.filter(ctx, out, ar); err != nil {
-			return err
-		}
-		if out.Len() > 0 {
-			if err := emit(out); err != nil {
-				return err
-			}
-		}
-		out.Reset()
-		return nil
-	}
+	flush := func() error { return flushFiltered(ctx, out, j.cond, ar, emit) }
 	readCols := colListBuf[:0:outerWidth]
 	writeCols := colListBuf[outerWidth : outerWidth : 2*outerWidth]
-	err := j.outer.Run(ctx, func(ob *val.Batch) error {
-		emitMu.Lock()
-		defer emitMu.Unlock()
+	err := j.outer.Run(ctx, serialSink(ctx, func(ob *val.Batch) error {
 		readCols, writeCols = outerCopyCols(ob, outerWidth, j.outNeeded, outerScratch, readCols, writeCols)
 		sel := ob.Sel()
 		for k, n := 0, ob.Len(); k < n; k++ {
@@ -1233,12 +1137,12 @@ func (j *nlJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
 			}
 		}
 		return nil
-	})
+	}))
 	if err == nil {
 		err = flush()
 	}
 	ctx.RowsScanned.Add(rows)
-	return err
+	return finish(err, done)
 }
 
 func (j *nlJoinNode) explainTo(sb *strings.Builder, depth int) {
@@ -1262,31 +1166,12 @@ type filterNode struct {
 
 func (f *filterNode) Columns() []ColRef { return f.child.Columns() }
 
-// Run is the serial path: one arena shared across calls, safe because the
-// child serializes its emit stream per the batchFn contract. Plans whose
-// consumer pulls per-worker sinks go through RunParallel instead.
-func (f *filterNode) Run(ctx *ExecCtx, emit batchFn) error {
-	ar := ctx.getArena()
-	defer ar.Release()
-	return f.child.Run(ctx, func(b *val.Batch) error {
-		if err := f.cond.filter(ctx, b, ar); err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			return nil
-		}
-		return emit(b)
-	})
-}
-
-// RunParallel evaluates the predicate in each worker with a private arena
-// and passes the per-worker sinks straight through — a filter holds no
-// cross-batch state, so it never needs the serialization point.
-func (f *filterNode) RunParallel(ctx *ExecCtx, mk sinkFactory) error {
-	arenas := make([]*val.Arena, 0, 8)
-	err := runParallel(ctx, f.child, func(worker int) (batchFn, func() error) {
-		ar := ctx.getArena()
-		arenas = append(arenas, ar)
+// Run evaluates the predicate in each worker with a private arena and
+// passes the per-worker sinks straight through — a filter holds no
+// cross-batch state, so it never needs a serialization point.
+func (f *filterNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	return f.child.Run(ctx, func(worker int) (batchFn, func() error) {
+		ar := own(ctx, ctx.getArena())
 		sink, done := mk(worker)
 		return func(b *val.Batch) error {
 			if err := f.cond.filter(ctx, b, ar); err != nil {
@@ -1298,10 +1183,6 @@ func (f *filterNode) RunParallel(ctx *ExecCtx, mk sinkFactory) error {
 			return sink(b)
 		}, done
 	})
-	for _, ar := range arenas {
-		ar.Release()
-	}
-	return err
 }
 
 func (f *filterNode) explainTo(sb *strings.Builder, depth int) {
@@ -1607,19 +1488,33 @@ type aggPartial struct {
 	keyEnc     []byte
 	ar         *val.Arena
 	pooled     bool
+	// The run the partial is bound to, and absorb as that run's per-worker
+	// sink — bound once at creation, so a pooled partial costs its worker
+	// no closure.
+	ctx  *ExecCtx
+	node *aggNode
+	sink batchFn
 }
 
-var aggPartialPool = sync.Pool{New: func() any { return &aggPartial{pooled: true} }}
+func newAggPartial(pooled bool) *aggPartial {
+	p := &aggPartial{pooled: pooled}
+	p.sink = p.absorb
+	return p
+}
+
+var aggPartialPool = sync.Pool{New: func() any { return newAggPartial(true) }}
 
 // getAggPartial acquires a worker partial shaped for the aggregation:
 // pooled unless DisablePooling.
-func getAggPartial(ctx *ExecCtx, nAgg, nKey int) *aggPartial {
+func getAggPartial(ctx *ExecCtx, a *aggNode) *aggPartial {
 	var p *aggPartial
 	if ctx.DisablePooling {
-		p = &aggPartial{}
+		p = newAggPartial(false)
 	} else {
 		p = aggPartialPool.Get().(*aggPartial)
 	}
+	p.ctx, p.node = ctx, a
+	nAgg, nKey := len(a.aggs), len(a.groupBy)
 	p.alloc.reset(nAgg, nKey)
 	if cap(p.keyBufs) < nKey {
 		p.keyBufs = make([][]val.Value, nKey)
@@ -1652,6 +1547,7 @@ func (p *aggPartial) release() {
 		p.ar = nil
 	}
 	p.global = nil
+	p.ctx, p.node = nil, nil
 	if !p.pooled {
 		return
 	}
@@ -1672,7 +1568,8 @@ func (p *aggPartial) release() {
 
 // absorb folds one batch into the partial — the per-row path of the
 // parallel aggregate, run lock-free on the worker that produced the batch.
-func (p *aggPartial) absorb(ctx *ExecCtx, a *aggNode, b *val.Batch) error {
+func (p *aggPartial) absorb(b *val.Batch) error {
+	ctx, a := p.ctx, p.node
 	cnt := b.Len()
 	if cnt == 0 {
 		return nil
@@ -1754,8 +1651,8 @@ func (p *aggPartial) merge(o *aggPartial) {
 
 func (a *aggNode) Columns() []ColRef { return a.cols }
 
-func (a *aggNode) Run(ctx *ExecCtx, emit batchFn) error {
-	nGroup, nAgg := len(a.groupBy), len(a.aggs)
+func (a *aggNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	nGroup := len(a.groupBy)
 	// Partial phase: one private partial per scan worker, acquired in the
 	// sequential sinkFactory call, filled lock-free on that worker.
 	parts := make([]*aggPartial, 0, 8)
@@ -1764,19 +1661,20 @@ func (a *aggNode) Run(ctx *ExecCtx, emit batchFn) error {
 			p.release()
 		}
 	}()
-	err := runParallel(ctx, a.child, func(worker int) (batchFn, func() error) {
-		p := getAggPartial(ctx, nAgg, nGroup)
+	err := a.child.Run(ctx, func(worker int) (batchFn, func() error) {
+		p := getAggPartial(ctx, a)
 		parts = append(parts, p)
-		return func(b *val.Batch) error { return p.absorb(ctx, a, b) }, nil
+		return p.sink, nil
 	})
 	if err != nil {
 		return err
 	}
 	// Merge phase, serial in worker order: workers have all joined, so the
-	// partials are quiescent. A zero-page scan never calls the factory; a
-	// global aggregate must still emit its one (zero-count) row.
+	// partials are quiescent. A producer with no workers (a zero-page scan)
+	// never calls the factory; a global aggregate must still emit its one
+	// (zero-count) row.
 	if len(parts) == 0 {
-		parts = append(parts, getAggPartial(ctx, nAgg, nGroup))
+		parts = append(parts, getAggPartial(ctx, a))
 	}
 	root := parts[0]
 	for _, p := range parts[1:] {
@@ -1788,6 +1686,7 @@ func (a *aggNode) Run(ctx *ExecCtx, emit batchFn) error {
 	if nGroup == 0 {
 		nOut = 1
 	}
+	emit, done := mk(0)
 	out := ctx.getBatch(len(a.cols), nOut, nil)
 	defer out.Release()
 	for oi := 0; oi < nOut; oi++ {
@@ -1833,9 +1732,9 @@ func (a *aggNode) Run(ctx *ExecCtx, emit batchFn) error {
 		}
 	}
 	if out.Size() > 0 {
-		return emit(out)
+		return finish(emit(out), done)
 	}
-	return nil
+	return finish(nil, done)
 }
 
 func (a *aggNode) explainTo(sb *strings.Builder, depth int) {
@@ -1862,54 +1761,14 @@ type projectNode struct {
 
 func (p *projectNode) Columns() []ColRef { return p.cols }
 
-// Run is the serial path: one output batch and arena shared across calls,
-// safe because the child serializes its emit stream per the batchFn
-// contract. Plans whose consumer pulls per-worker sinks go through
-// RunParallel instead.
-func (p *projectNode) Run(ctx *ExecCtx, emit batchFn) error {
+// Run computes the projection in each worker with a private output batch
+// and arena; the expression kernels are compile-time immutable, so sharing
+// them across workers is safe.
+func (p *projectNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	width := len(p.exprs) + len(p.hidden)
-	out := ctx.getBatch(width, val.BatchSize, nil)
-	defer out.Release()
-	ar := ctx.getArena()
-	defer ar.Release()
-	return p.child.Run(ctx, func(b *val.Batch) error {
-		if b.Len() == 0 {
-			return nil
-		}
-		out.Reset()
-		for j, e := range p.exprs {
-			col, err := e.appendTo(ctx, b, ar, out.ColBuf(j))
-			if err != nil {
-				return err
-			}
-			out.SetColumn(j, col)
-		}
-		for j, e := range p.hidden {
-			col, err := e.appendTo(ctx, b, ar, out.ColBuf(len(p.exprs)+j))
-			if err != nil {
-				return err
-			}
-			out.SetColumn(len(p.exprs)+j, col)
-		}
-		out.SetSize(b.Len())
-		return emit(out)
-	})
-}
-
-// RunParallel computes the projection in each worker with a private output
-// batch and arena; the expression kernels are compile-time immutable, so
-// sharing them across workers is safe.
-func (p *projectNode) RunParallel(ctx *ExecCtx, mk sinkFactory) error {
-	width := len(p.exprs) + len(p.hidden)
-	type workerMem struct {
-		out *val.Batch
-		ar  *val.Arena
-	}
-	workers := make([]workerMem, 0, 8)
-	err := runParallel(ctx, p.child, func(worker int) (batchFn, func() error) {
-		out := ctx.getBatch(width, val.BatchSize, nil)
-		ar := ctx.getArena()
-		workers = append(workers, workerMem{out, ar})
+	return p.child.Run(ctx, func(worker int) (batchFn, func() error) {
+		out := own(ctx, ctx.getBatch(width, val.BatchSize, nil))
+		ar := own(ctx, ctx.getArena())
 		sink, done := mk(worker)
 		return func(b *val.Batch) error {
 			if b.Len() == 0 {
@@ -1934,11 +1793,6 @@ func (p *projectNode) RunParallel(ctx *ExecCtx, mk sinkFactory) error {
 			return sink(out)
 		}, done
 	})
-	for _, w := range workers {
-		w.out.Release()
-		w.ar.Release()
-	}
-	return err
 }
 
 func (p *projectNode) explainTo(sb *strings.Builder, depth int) {
@@ -1955,14 +1809,12 @@ type distinctNode struct {
 
 func (d *distinctNode) Columns() []ColRef { return d.child.Columns() }
 
-func (d *distinctNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (d *distinctNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	emit, done := mk(0)
 	seen := make(map[string]bool)
-	var mu sync.Mutex
 	var keyEnc []byte
 	var scratch val.Row
-	return d.child.Run(ctx, func(b *val.Batch) error {
-		mu.Lock()
-		defer mu.Unlock()
+	err := d.child.Run(ctx, serialSink(ctx, func(b *val.Batch) error {
 		if scratch == nil {
 			scratch = make(val.Row, b.Width())
 		}
@@ -1979,7 +1831,8 @@ func (d *distinctNode) Run(ctx *ExecCtx, emit batchFn) error {
 			return nil
 		}
 		return emit(b)
-	})
+	}))
+	return finish(err, done)
 }
 
 func (d *distinctNode) explainTo(sb *strings.Builder, depth int) {
@@ -2007,23 +1860,28 @@ type sortNode struct {
 
 func (s *sortNode) Columns() []ColRef { return s.child.Columns() }
 
-func (s *sortNode) Run(ctx *ExecCtx, emit batchFn) error {
-	// Input width is the visible columns plus the hidden ORDER BY keys
-	// (child.Columns() reports only the visible schema; every hidden
-	// column has a keyPos entry).
-	width := s.visible
-	for _, p := range s.keyPos {
+// sortInputWidth is the width of the rows a sort or top-k consumes: the
+// visible columns plus the hidden ORDER BY keys (child.Columns() reports
+// only the visible schema; every hidden column has a keyPos entry).
+func sortInputWidth(visible int, keyPos []int) int {
+	width := visible
+	for _, p := range keyPos {
 		if p+1 > width {
 			width = p + 1
 		}
 	}
+	return width
+}
+
+func (s *sortNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	width := sortInputWidth(s.visible, s.keyPos)
 	stores := make([]*val.RowStore, 0, 8)
 	defer func() {
 		for _, st := range stores {
 			st.Release()
 		}
 	}()
-	err := runParallel(ctx, s.child, func(worker int) (batchFn, func() error) {
+	err := s.child.Run(ctx, func(worker int) (batchFn, func() error) {
 		store := ctx.getRowStore(width)
 		stores = append(stores, store)
 		return func(b *val.Batch) error {
@@ -2049,6 +1907,7 @@ func (s *sortNode) Run(ctx *ExecCtx, emit batchFn) error {
 	if capacity > val.BatchSize {
 		capacity = val.BatchSize
 	}
+	emit, done := mk(0)
 	out := ctx.getBatch(s.visible, capacity, nil)
 	defer out.Release()
 	err = mergeRuns(runs, s.keyPos, s.desc, func(r val.Row) error {
@@ -2064,13 +1923,10 @@ func (s *sortNode) Run(ctx *ExecCtx, emit batchFn) error {
 		}
 		return nil
 	})
-	if err != nil {
-		return err
+	if err == nil && out.Size() > 0 {
+		err = emit(out)
 	}
-	if out.Size() > 0 {
-		return emit(out)
-	}
-	return nil
+	return finish(err, done)
 }
 
 func (s *sortNode) explainTo(sb *strings.Builder, depth int) {
@@ -2232,9 +2088,10 @@ type topNode struct {
 
 func (t *topNode) Columns() []ColRef { return t.child.Columns() }
 
-func (t *topNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (t *topNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	emit, done := mk(0)
 	count := 0
-	err := t.child.Run(ctx, func(b *val.Batch) error {
+	err := t.child.Run(ctx, serialSink(ctx, func(b *val.Batch) error {
 		if count >= t.n {
 			return errStopEarly
 		}
@@ -2249,11 +2106,11 @@ func (t *topNode) Run(ctx *ExecCtx, emit batchFn) error {
 			return errStopEarly
 		}
 		return nil
-	})
+	}))
 	if errors.Is(err, errStopEarly) {
-		return nil
+		err = nil
 	}
-	return err
+	return finish(err, done)
 }
 
 func (t *topNode) explainTo(sb *strings.Builder, depth int) {
@@ -2340,21 +2197,15 @@ func (h *topKHeap) down(t *topKNode, i int) {
 	}
 }
 
-func (t *topKNode) Run(ctx *ExecCtx, emit batchFn) error {
-	// Visible columns plus hidden ORDER BY keys (see sortNode.Run).
-	width := t.visible
-	for _, p := range t.keyPos {
-		if p+1 > width {
-			width = p + 1
-		}
-	}
+func (t *topKNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	width := sortInputWidth(t.visible, t.keyPos)
 	heaps := make([]*topKHeap, 0, 8)
 	defer func() {
 		for _, h := range heaps {
 			h.store.Release()
 		}
 	}()
-	err := runParallel(ctx, t.child, func(worker int) (batchFn, func() error) {
+	err := t.child.Run(ctx, func(worker int) (batchFn, func() error) {
 		h := &topKHeap{store: ctx.getRowStore(width)}
 		heaps = append(heaps, h)
 		return func(b *val.Batch) error {
@@ -2373,6 +2224,7 @@ func (t *topKNode) Run(ctx *ExecCtx, emit batchFn) error {
 	if len(all) > t.n {
 		all = all[:t.n]
 	}
+	emit, done := mk(0)
 	out := ctx.getBatch(t.visible, len(all), nil)
 	defer out.Release()
 	for _, r := range all {
@@ -2385,9 +2237,9 @@ func (t *topKNode) Run(ctx *ExecCtx, emit batchFn) error {
 		}
 	}
 	if out.Size() > 0 {
-		return emit(out)
+		return finish(emit(out), done)
 	}
-	return nil
+	return finish(nil, done)
 }
 
 func (t *topKNode) explainTo(sb *strings.Builder, depth int) {
@@ -2404,37 +2256,13 @@ type stripNode struct {
 
 func (s *stripNode) Columns() []ColRef { return s.child.Columns() }
 
-func (s *stripNode) Run(ctx *ExecCtx, emit batchFn) error {
-	return s.child.Run(ctx, func(b *val.Batch) error {
-		return emit(b.Project(s.visible))
+func (s *stripNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	return s.child.Run(ctx, func(worker int) (batchFn, func() error) {
+		sink, done := mk(worker)
+		return func(b *val.Batch) error { return sink(b.Project(s.visible)) }, done
 	})
 }
 
 func (s *stripNode) explainTo(sb *strings.Builder, depth int) {
 	s.child.explainTo(sb, depth)
 }
-
-// ensure interface satisfaction
-var (
-	_ Node = (*scanNode)(nil)
-	_ Node = (*indexScanNode)(nil)
-	_ Node = (*tvfNode)(nil)
-	_ Node = (*memScanNode)(nil)
-	_ Node = (*indexJoinNode)(nil)
-	_ Node = (*nlJoinNode)(nil)
-	_ Node = (*filterNode)(nil)
-	_ Node = (*aggNode)(nil)
-	_ Node = (*projectNode)(nil)
-	_ Node = (*distinctNode)(nil)
-	_ Node = (*sortNode)(nil)
-	_ Node = (*topNode)(nil)
-	_ Node = (*topKNode)(nil)
-	_ Node = (*stripNode)(nil)
-	_ Node = dualNode{}
-
-	_ parallelNode = (*scanNode)(nil)
-	_ parallelNode = (*filterNode)(nil)
-	_ parallelNode = (*projectNode)(nil)
-
-	_ = btree.MaxKeyColumns
-)

@@ -1294,8 +1294,8 @@ type schemaNode struct {
 }
 
 func (s *schemaNode) Columns() []ColRef { return s.cols }
-func (s *schemaNode) Run(ctx *ExecCtx, emit batchFn) error {
-	return s.child.Run(ctx, emit)
+func (s *schemaNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	return s.child.Run(ctx, mk)
 }
 func (s *schemaNode) explainTo(sb *strings.Builder, depth int) {
 	s.child.explainTo(sb, depth)

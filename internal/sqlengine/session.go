@@ -173,18 +173,13 @@ func (s *Session) ExecContext(ctx context.Context, sql string, opt ExecOptions) 
 	return s.exec(ctx, sql, opt, nil)
 }
 
-// ExecStream is Exec, except the last SELECT's result set is delivered to
-// sink batch-by-batch instead of being materialized into Result.Rows — the
-// web layer serializes HTTP responses straight from these batches. The
-// returned Result carries the schema, plan, and statistics with Rows nil
-// for the streamed statement; other statements behave exactly as in Exec.
-func (s *Session) ExecStream(sql string, opt ExecOptions, sink ResultBatchFunc) (*Result, error) {
-	return s.exec(context.Background(), sql, opt, sink)
-}
-
-// ExecStreamContext is ExecStream under a context (see ExecContext); a
-// mid-stream cancellation stops the executor before the next batch is
-// serialized.
+// ExecStreamContext is ExecContext, except the last SELECT's result set is
+// delivered to sink batch-by-batch instead of being materialized into
+// Result.Rows — the web layer serializes HTTP responses straight from these
+// batches. The returned Result carries the schema, plan, and statistics
+// with Rows nil for the streamed statement; other statements behave exactly
+// as in Exec. A mid-stream cancellation stops the executor before the next
+// batch is serialized.
 func (s *Session) ExecStreamContext(ctx context.Context, sql string, opt ExecOptions, sink ResultBatchFunc) (*Result, error) {
 	return s.exec(ctx, sql, opt, sink)
 }
@@ -585,19 +580,30 @@ func (s *Session) execSelect(st *SelectStmt, ctx *ExecCtx, opt ExecOptions, res 
 	return s.runPlan(cp, st.Into, ctx, opt, res, sink)
 }
 
+// runRoot drives a plan to completion with emit as its one ordered result
+// stream, then returns the operators' per-worker scratch to the pools.
+func runRoot(ctx *ExecCtx, root Node, emit batchFn) error {
+	defer ctx.releaseScratch()
+	return root.Run(ctx, serialSink(ctx, emit))
+}
+
 // runPlan executes a compiled SELECT plan — the execute step shared by
 // fresh compilation and plan-cache hits. Schema, kinds, and the EXPLAIN
 // text come from the plan (rendered once at compile), so a cache hit's
 // result assembly allocates only the gathered rows.
 func (s *Session) runPlan(cp *CompiledPlan, into string, ctx *ExecCtx, opt ExecOptions, res *Result, sink ResultBatchFunc) error {
-	truncated := false
+	// The root sink's mutable state is one struct so the closure captures
+	// one heap cell, not three.
+	var out struct {
+		sent      int
+		truncated bool
+		rows      []val.Row
+	}
 	limit := opt.MaxRows
-	sent := 0
-	var rows []val.Row
 	// INTO needs the rows materialized for the target table even when the
 	// result set is also streamed to a sink.
 	gather := sink == nil || into != ""
-	err := cp.root.Run(ctx, func(b *val.Batch) error {
+	err := runRoot(ctx, cp.root, func(b *val.Batch) error {
 		// The result boundary polls cancellation too: a query whose plan
 		// spends no time in scans (memory tables, TVFs) still aborts
 		// within one output batch of the context closing.
@@ -605,17 +611,17 @@ func (s *Session) runPlan(cp *CompiledPlan, into string, ctx *ExecCtx, opt ExecO
 			return err
 		}
 		if limit > 0 {
-			rem := limit - sent
+			rem := limit - out.sent
 			if rem <= 0 {
-				truncated = true
+				out.truncated = true
 				return errStopEarly
 			}
 			if b.Len() > rem {
 				b.Truncate(rem)
-				truncated = true
+				out.truncated = true
 			}
 		}
-		sent += b.Len()
+		out.sent += b.Len()
 		if gather && b.Len() > 0 {
 			// One backing slab per batch instead of one allocation per
 			// row; each gathered row gets a full-capacity sub-slice.
@@ -624,7 +630,7 @@ func (s *Session) runPlan(cp *CompiledPlan, into string, ctx *ExecCtx, opt ExecO
 			b.Each(func(i int) {
 				r := val.Row(backing[:width:width])
 				backing = backing[width:]
-				rows = append(rows, b.RowAt(i, r))
+				out.rows = append(out.rows, b.RowAt(i, r))
 			})
 		}
 		if sink != nil {
@@ -643,17 +649,17 @@ func (s *Session) runPlan(cp *CompiledPlan, into string, ctx *ExecCtx, opt ExecO
 		for i := range cp.cols {
 			mt.Cols = append(mt.Cols, Column{Name: cp.cols[i], Kind: cp.kinds[i]})
 		}
-		mt.Rows = rows
+		mt.Rows = out.rows
 		// SELECT INTO a permanent name also lands in the session under
 		// that name (the engine is a warehouse; ad-hoc result tables stay
 		// session-local).
 		s.temps[fold(into)] = mt
-		res.RowsAffected = int64(len(rows))
+		res.RowsAffected = int64(len(out.rows))
 	}
 	res.Cols = cp.cols
 	res.Kinds = cp.kinds
-	res.Rows = rows
-	res.Truncated = truncated
+	res.Rows = out.rows
+	res.Truncated = out.truncated
 	res.Plan = cp.explain
 	return nil
 }
@@ -671,7 +677,7 @@ func (s *Session) execInsert(st *InsertStmt, ctx *ExecCtx, opt ExecOptions, res 
 		for _, c := range node.Columns() {
 			inCols = append(inCols, c.Name)
 		}
-		if err := node.Run(ctx, func(b *val.Batch) error {
+		if err := runRoot(ctx, node, func(b *val.Batch) error {
 			b.Each(func(i int) {
 				inRows = append(inRows, b.RowAt(i, make(val.Row, b.Width())))
 			})
@@ -721,7 +727,7 @@ func (s *Session) execInsert(st *InsertStmt, ctx *ExecCtx, opt ExecOptions, res 
 	if err != nil {
 		return err
 	}
-	reorder, err := columnOrder(len(t.Cols), namesOfTable(t.Cols), st.Cols)
+	reorder, err := columnOrder(len(t.Cols), namesOf(t.Cols), st.Cols)
 	if err != nil {
 		return err
 	}
@@ -745,8 +751,6 @@ func namesOf(cols []Column) []string {
 	}
 	return out
 }
-
-func namesOfTable(cols []Column) []string { return namesOf(cols) }
 
 // columnOrder maps insert positions to table positions. Empty colList means
 // positional insert.

@@ -214,23 +214,28 @@ func TestScanShardPanicIsolated(t *testing.T) {
 	fillHeap(t, h, 400) // several pages across all stripes
 
 	// Panic on a fixed page so exactly one shard — whichever claims it —
-	// blows up, regardless of how the pool schedules shards.
-	err := h.ScanBatches(4, func(worker int) (RecBatchFunc, func() error) {
-		return func(rids []RID, recs [][]byte) error {
-			if rids[0].Page() == 2 {
-				panic("poisoned page decode")
-			}
-			return nil
-		}, nil
-	})
-	if !errors.Is(err, ErrScanPanic) {
-		t.Fatalf("scan with panicking shard: err = %v, want ErrScanPanic", err)
+	// blows up, regardless of how the pool schedules shards. dop 1 is the
+	// same job run inline on the caller (every loader ScanRows(1, …) and
+	// MaxConcurrency=1 query): it must classify the panic too, not let it
+	// escape raw.
+	for _, dop := range []int{1, 4} {
+		err := h.ScanBatches(dop, func(worker int) (RecBatchFunc, func() error) {
+			return func(rids []RID, recs [][]byte) error {
+				if rids[0].Page() == 2 {
+					panic("poisoned page decode")
+				}
+				return nil
+			}, nil
+		})
+		if !errors.Is(err, ErrScanPanic) {
+			t.Fatalf("dop=%d scan with panicking shard: err = %v, want ErrScanPanic", dop, err)
+		}
 	}
 
 	// The pool and heap survive: a follow-up scan sees every record.
 	var mu sync.Mutex
 	seen := 0
-	err = h.Scan(4, func(RID, []byte) error {
+	err := h.Scan(4, func(RID, []byte) error {
 		mu.Lock()
 		seen++
 		mu.Unlock()

@@ -471,26 +471,15 @@ type ScanFunc func(rid RID, rec []byte) error
 // ranges are dealt round-robin so each worker streams one volume when dop
 // equals the stripe width.
 func (h *Heap) Scan(dop int, fn ScanFunc) error {
-	return h.ScanWorkers(dop, func(int) (ScanFunc, func() error) { return fn, nil })
-}
-
-// ScanWorkers is Scan with per-worker state: mk is called once per scan
-// worker and returns that worker's record callback plus an optional flush
-// run (serially, in worker order) after all workers finish successfully.
-// This lets consumers batch without sharing state across goroutines.
-func (h *Heap) ScanWorkers(dop int, mk func(worker int) (ScanFunc, func() error)) error {
-	return h.ScanBatches(dop, func(worker int) (RecBatchFunc, func() error) {
-		fn, flush := mk(worker)
-		bf := func(rids []RID, recs [][]byte) error {
-			for i, rec := range recs {
-				if err := fn(rids[i], rec); err != nil {
-					return err
-				}
+	bf := func(rids []RID, recs [][]byte) error {
+		for i, rec := range recs {
+			if err := fn(rids[i], rec); err != nil {
+				return err
 			}
-			return nil
 		}
-		return bf, flush
-	})
+		return nil
+	}
+	return h.ScanBatches(dop, func(int) (RecBatchFunc, func() error) { return bf, nil })
 }
 
 // RecBatchFunc receives one page's worth of live records during a batch
@@ -538,63 +527,18 @@ func (h *Heap) ScanBatchesCtx(ctx context.Context, dop int, mk func(worker int) 
 	if dop > 4*runtime.NumCPU() {
 		dop = 4 * runtime.NumCPU()
 	}
-	if dop == 1 {
-		err := h.scanSerial(ctx, j.pageIDs, mk)
-		scanJobPool.Put(j)
-		return err
-	}
 	j.init(h, ctx, dop, mk)
-	h.fg.ScanPool().Run(dop, j)
+	if dop == 1 {
+		// One worker is the same job run inline on the caller: no pool
+		// dispatch, and the same panic isolation and error path as dop > 1.
+		j.RunShard(0)
+	} else {
+		h.fg.ScanPool().Run(dop, j)
+	}
 	err := j.finish()
 	j.reset()
 	scanJobPool.Put(j)
 	return err
-}
-
-// scanSerial is the dop == 1 fast path: run inline — no pool dispatch,
-// shard state, or error joining for a single worker.
-func (h *Heap) scanSerial(ctx context.Context, pageIDs []uint64, mk func(worker int) (RecBatchFunc, func() error)) error {
-	fn, flush := mk(0)
-	sb := scanBufPool.Get().(*scanBuf)
-	buf := sb.page
-	rids, recs := sb.rids, sb.recs
-	var err error
-	for pi := 0; pi < len(pageIDs); pi++ {
-		// Check before every page read, not on a stride: a cold page is a
-		// (simulated) disk seek, and a cancelled query must not issue even
-		// one more of them — that I/O slot belongs to live queries.
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		if err = h.fg.ReadPageCtx(ctx, pageIDs[pi], buf); err != nil {
-			break
-		}
-		p := page(buf)
-		rids, recs = rids[:0], recs[:0]
-		for s := 0; s < p.slotCount(); s++ {
-			rec, ok := p.record(s)
-			if !ok {
-				continue
-			}
-			rids = append(rids, MakeRID(uint64(pi), s))
-			recs = append(recs, rec)
-		}
-		if len(recs) == 0 {
-			continue
-		}
-		if err = fn(rids, recs); err != nil {
-			break
-		}
-	}
-	sb.rids, sb.recs = rids, recs
-	scanBufPool.Put(sb)
-	if err != nil {
-		return err
-	}
-	if flush != nil {
-		return flush()
-	}
-	return nil
 }
 
 // scanMorselPages is how many pages one counter claim hands a shard:

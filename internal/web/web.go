@@ -100,6 +100,8 @@ type Server struct {
 	opt   Options
 	mux   *http.ServeMux
 	sched *sched.Scheduler
+	// routes lists every registered mux pattern (see Routes).
+	routes []string
 
 	// rcache answers repeat SQL GETs from serialized bytes before the
 	// admission gate (nil when disabled); maxEntry is the per-body cap,
@@ -177,38 +179,50 @@ func NewServer(sdb *schema.SkyDB, opt Options) *Server {
 	// from cached bytes before admission (see resultCached).
 	interactive := func(*http.Request) sched.Class { return sched.Interactive }
 	sqlHandler := s.resultCached(s.gate("sql", s.classifySQL, s.handleSQL))
-	s.mux.HandleFunc("/", s.handleHome)
-	s.mux.HandleFunc("/en/tools/search/sql.asp", sqlHandler)
-	s.mux.HandleFunc("/x/sql", sqlHandler)
-	s.mux.HandleFunc("/x/plancache", s.handlePlanCache)
-	s.mux.HandleFunc("/x/resultcache", s.handleResultCache)
-	s.mux.HandleFunc("/x/sched", s.handleSched)
-	s.mux.HandleFunc("/x/shards", s.handleShards)
-	s.mux.HandleFunc("/x/health", s.handleHealth)
-	s.mux.HandleFunc("/en/tools/explore/obj.asp", s.gate("explore", interactive, s.handleExplore))
-	s.mux.HandleFunc("/en/tools/places/", s.gate("places", interactive, s.handlePlaces))
-	s.mux.HandleFunc("/en/tools/navi/cutout", s.gate("cutout", interactive, s.handleCutout))
-	s.mux.HandleFunc("/en/tools/navi/objects", s.gate("rect", interactive, s.handleRect))
-	s.mux.HandleFunc("/en/help/docs/browser.asp", s.handleSchema)
-	s.mux.HandleFunc("/en/skyserver/loadevents", s.gate("loadevents", interactive, s.handleLoadEvents))
-	// The versioned /api/v1 namespace: the sync query endpoint and the
-	// status pages are the same handlers as the legacy routes above
-	// (which stay as thin aliases); /api/v1/jobs is the async job
-	// service. Errors under /api/v1 are the JSON envelope (docs/ops.md).
-	s.mux.HandleFunc("/api/v1/query", sqlHandler)
-	s.mux.HandleFunc("/api/v1/status/sched", s.handleSched)
-	s.mux.HandleFunc("/api/v1/status/shards", s.handleShards)
-	s.mux.HandleFunc("/api/v1/status/plancache", s.handlePlanCache)
-	s.mux.HandleFunc("/api/v1/status/resultcache", s.handleResultCache)
-	s.mux.HandleFunc("/api/v1/status/health", s.handleHealth)
-	s.mux.HandleFunc("POST /api/v1/jobs", s.handleJobSubmit)
-	s.mux.HandleFunc("GET /api/v1/jobs", s.handleJobList)
-	s.mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleJobStatus)
-	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleJobResult)
-	s.mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("/api/v1/", s.handleAPINotFound)
+	handle := func(pattern string, h http.HandlerFunc) {
+		s.routes = append(s.routes, pattern)
+		s.mux.HandleFunc(pattern, h)
+	}
+	handle("/", s.handleHome)
+	handle("/en/tools/search/sql.asp", sqlHandler)
+	handle("/x/sql", sqlHandler)
+	handle("/en/tools/explore/obj.asp", s.gate("explore", interactive, s.handleExplore))
+	handle("/en/tools/places/", s.gate("places", interactive, s.handlePlaces))
+	handle("/en/tools/navi/cutout", s.gate("cutout", interactive, s.handleCutout))
+	handle("/en/tools/navi/objects", s.gate("rect", interactive, s.handleRect))
+	handle("/en/help/docs/browser.asp", s.handleSchema)
+	handle("/en/skyserver/loadevents", s.gate("loadevents", interactive, s.handleLoadEvents))
+	// The versioned /api/v1 namespace: the sync query endpoint is the same
+	// handler as the legacy routes above (which stay as thin aliases);
+	// /api/v1/jobs is the async job service. Errors under /api/v1 are the
+	// JSON envelope (docs/ops.md).
+	handle("/api/v1/query", sqlHandler)
+	handle("POST /api/v1/jobs", s.handleJobSubmit)
+	handle("GET /api/v1/jobs", s.handleJobList)
+	handle("GET /api/v1/jobs/{id}", s.handleJobStatus)
+	handle("GET /api/v1/jobs/{id}/result", s.handleJobResult)
+	handle("DELETE /api/v1/jobs/{id}", s.handleJobCancel)
+	handle("/api/v1/", s.handleAPINotFound)
+	// The status pages: one table, each served under both namespaces.
+	for _, st := range []struct {
+		name    string
+		handler http.HandlerFunc
+	}{
+		{"plancache", s.handlePlanCache},
+		{"resultcache", s.handleResultCache},
+		{"sched", s.handleSched},
+		{"shards", s.handleShards},
+		{"health", s.handleHealth},
+	} {
+		handle("/x/"+st.name, st.handler)
+		handle("/api/v1/status/"+st.name, st.handler)
+	}
 	return s
 }
+
+// Routes returns every pattern the server registered, in registration
+// order (the docs gate checks them against docs/ops.md).
+func (s *Server) Routes() []string { return append([]string(nil), s.routes...) }
 
 // Sched returns the server's admission controller (tests and embedding
 // tools read its statistics).
