@@ -447,6 +447,43 @@ func BenchmarkTopKSort(b *testing.B) {
 	b.Run("Parallel", func(b *testing.B) { run(b, sqlengine.ExecOptions{}) })
 }
 
+// BenchmarkOrderedTopN measures ordered index access: a TOP n whose ORDER
+// BY an index already delivers reads n+1 entries and stops. Gallery is the
+// famous-places statement (a bookmark lookup per entry: isoA_r is in no
+// index), Covered the same without isoA_r, NeighborsPanel the Explorer's
+// ten nearest neighbors. TopKSort above is the control: no index sorts
+// petroMag_r, so its plan and numbers must not move.
+func BenchmarkOrderedTopN(b *testing.B) {
+	s := benchServer(b)
+	sess := s.Session()
+	res, err := sess.Exec("select top 1 objID from Neighbors order by objID", sqlengine.ExecOptions{})
+	if err != nil || len(res.Rows) != 1 {
+		b.Fatalf("no object with neighbors: %v", err)
+	}
+	for _, c := range []struct{ name, q string }{
+		{"Gallery", "select top 20 objID, ra, dec, r, isoA_r from Galaxy order by r asc"},
+		{"Covered", "select top 20 objID, ra, dec, r from Galaxy order by r asc"},
+		{"NeighborsPanel", fmt.Sprintf("select top 10 neighborObjID, distance from Neighbors where objID = %d order by distance", res.Rows[0][0].I)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			res, err := sess.Exec(c.q, sqlengine.ExecOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !strings.Contains(res.Plan, ", ordered)") {
+				b.Fatalf("not an ordered plan:\n%s", res.Plan)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.Exec(c.q, sqlengine.ExecOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 var (
 	benchShardOnce sync.Once
 	benchShardSrv  *core.SkyServer

@@ -107,6 +107,40 @@ func TestShardedAndSingleAgree(t *testing.T) {
 					compareStable(t, q.ID+" sharded-vs-single", want, got)
 				})
 			}
+			// The page statements stop an ordered index seek early. Index
+			// order inside a tie group follows the shard-tagged RIDs, so
+			// this is where a top-k that trusted it would diverge: rows
+			// must match position by position, and the ordered ones must
+			// read a few entries, not the table.
+			for _, ps := range pageStatements {
+				ps := ps
+				t.Run(ps.name, func(t *testing.T) {
+					baseSess := sqlengine.NewSession(base.DB)
+					shardSess := sqlengine.NewSession(sdbN.DB)
+					sql := pageSQL(t, baseSess, ps.sql)
+					if alt := pageSQL(t, shardSess, ps.sql); alt != sql {
+						t.Fatalf("%s parameter lookups diverge:\n%s\nvs\n%s", ps.name, sql, alt)
+					}
+					want, err := baseSess.Exec(sql, sqlengine.ExecOptions{})
+					if err != nil {
+						t.Fatalf("%s unsharded: %v", ps.name, err)
+					}
+					got, err := shardSess.Exec(sql, sqlengine.ExecOptions{})
+					if err != nil {
+						t.Fatalf("%s %d-shard: %v", ps.name, n, err)
+					}
+					if len(want.Rows) == 0 || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+						t.Fatalf("%s: %d-shard rows differ from unsharded:\n%v\nvs\n%v", ps.name, n, got.Rows, want.Rows)
+					}
+					if strings.Contains(got.Plan, ", ordered)") {
+						if top := int64(len(got.Rows)); got.RowsScanned > 4*top {
+							t.Errorf("%s: scanned %d entries for top %d, want ≤ 4n\n%s", ps.name, got.RowsScanned, top, got.Plan)
+						}
+					} else if !strings.HasSuffix(ps.name, "-key") {
+						t.Errorf("%s: not an ordered plan:\n%s", ps.name, got.Plan)
+					}
+				})
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,6 +87,71 @@ func TestExecContextCancelMidStream(t *testing.T) {
 	}
 	if batches >= 20 {
 		t.Errorf("saw %d batches after cancellation, want an early abort", batches)
+	}
+}
+
+// TestOrderedTopNEarlyStopIsSuccess: an ordered top-k ends its child with
+// errStopEarly once the cut is decided. That is a complete result, not an
+// error or a truncation, and the statistics count only what was visited.
+func TestOrderedTopNEarlyStopIsSuccess(t *testing.T) {
+	_, sess := cancelDB(t)
+	res, err := sess.Exec("select top 20 objID, name from Obj order by objID", ExecOptions{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Plan, "IndexScan(Obj.pk_Obj, ordered)") {
+		t.Fatalf("not an ordered non-covering scan:\n%s", res.Plan)
+	}
+	if len(res.Rows) != 20 || res.Truncated {
+		t.Fatalf("rows=%d truncated=%v, want 20/false", len(res.Rows), res.Truncated)
+	}
+	for i := 1; i < len(res.Rows); i++ {
+		if res.Rows[i][0].I < res.Rows[i-1][0].I {
+			t.Fatalf("rows out of order at %d: %v", i, res.Rows)
+		}
+	}
+	if res.RowsScanned > 80 || res.PagesScanned != 0 {
+		t.Errorf("scanned %d rows / %d pages of a 20,000-row table, want ≤ 80 / 0", res.RowsScanned, res.PagesScanned)
+	}
+}
+
+// TestOrderedSeekPollsCancellationPerBatch: a non-covering seek pays a heap
+// fetch per entry, so it must notice a deadline or a closed context at every
+// flushed batch — here within the first 1,024 entries — not only at the
+// 4,096-entry poll, which a TOP n under 4,096 never reaches.
+func TestOrderedSeekPollsCancellationPerBatch(t *testing.T) {
+	db, sess := cancelDB(t)
+	stmts, err := Parse("select top 3000 objID, name from Obj order by objID")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := (&planner{db: db, sess: sess}).planSelect(stmts[0].(*SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := Explain(root); !strings.Contains(plan, "IndexScan(Obj.pk_Obj, ordered)") {
+		t.Fatalf("not an ordered non-covering scan:\n%s", plan)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name string
+		qctx context.Context
+		opt  ExecOptions
+		want error
+	}{
+		{"deadline", nil, ExecOptions{Deadline: time.Now().Add(-time.Second)}, ErrTimeout},
+		{"context", canceled, ExecOptions{}, ErrCanceled},
+	} {
+		ctx := sess.newExecCtx(c.qctx, nil, c.opt, time.Now())
+		err := root.Run(ctx, (&sinkCheck{}).factory)
+		ctx.releaseScratch()
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if n := ctx.RowsScanned.Load(); n > val.BatchSize {
+			t.Errorf("%s: %d entries fetched before the abort, want at most one batch", c.name, n)
+		}
 	}
 }
 

@@ -3,12 +3,16 @@ package sqlengine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"skyserver/internal/shard"
+	"skyserver/internal/storage"
 	"skyserver/internal/val"
 )
 
@@ -401,5 +405,140 @@ func TestLeafProducersContract(t *testing.T) {
 				t.Error(v)
 			}
 		})
+	}
+}
+
+// tiesDB builds, on the given shard count, a gallery-shaped table whose sort
+// key r takes only 12 values — every tie group is far wider than any TOP n —
+// under the (typ, mode, r) index the famous-places statement reads. Rows
+// hash-route by PK, so the RIDs, and with them the index's order inside a tie
+// group, differ per shard count.
+func tiesDB(t *testing.T, shards int) (*DB, *Session) {
+	t.Helper()
+	fgs := make([]*storage.FileGroup, shards)
+	for i := range fgs {
+		fgs[i] = storage.NewMemFileGroup(2, 1024)
+	}
+	db := NewShardedDB(shard.New(shard.EqualSplit(shards), fgs))
+	gal, err := db.CreateTable("Gal", []Column{
+		{Name: "id", Kind: val.KindInt, NotNull: true},
+		{Name: "typ", Kind: val.KindInt, NotNull: true},
+		{Name: "mode", Kind: val.KindInt, NotNull: true},
+		{Name: "r", Kind: val.KindInt, NotNull: true},
+		{Name: "g", Kind: val.KindFloat, NotNull: true},
+		{Name: "iso", Kind: val.KindFloat, NotNull: true},
+		{Name: "pad", Kind: val.KindString},
+	}, []string{"id"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex("Gal", "ix_typ_mode_r", []string{"typ", "mode", "r"}, []string{"id", "g"}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	pad := val.Str(strings.Repeat("x", 40))
+	for i := int64(0); i < 3000; i++ {
+		typ, mode := int64(3), int64(1)
+		if rng.Intn(5) < 2 {
+			typ = 6
+		}
+		if rng.Intn(5) == 0 {
+			mode = 2
+		}
+		row := val.Row{val.Int(i), val.Int(typ), val.Int(mode), val.Int(int64(rng.Intn(12))),
+			val.Float(float64(rng.Intn(40)) / 4), val.Float(float64(i % 97)), pad}
+		if _, err := gal.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, NewSession(db)
+}
+
+// TestOrderedTopNEqualsSort is the ordered-access oracle: for random n,
+// equality prefixes, range bounds and residuals, TOP n … ORDER BY — through
+// the ordered index seek wherever the planner picks it — must equal the
+// un-TOPped ORDER BY (the sortNode path, which shares nothing with the
+// early-stopping top-k but rowLess) truncated to n, byte for byte, on every
+// shard count, dop and evaluator; and every configuration must agree with
+// the first.
+func TestOrderedTopNEqualsSort(t *testing.T) {
+	type query struct {
+		n    int
+		body string
+	}
+	rng := rand.New(rand.NewSource(20011002))
+	shapes := []func() string{
+		func() string { return "id, r, iso from Gal where typ = 3 and mode = 1 order by r" }, // the gallery: non-covering
+		func() string { return "id, r, g from Gal where typ = 3 and mode = 1 order by r" },   // covered
+		func() string {
+			lo := rng.Intn(8)
+			return fmt.Sprintf("id, iso from Gal where typ = 3 and mode = 1 and r >= %d and r < %d order by r", lo, lo+1+rng.Intn(5))
+		},
+		func() string {
+			return fmt.Sprintf("g, id from Gal where typ = 6 and mode = %d and g > %d order by r", 1+rng.Intn(2), rng.Intn(9))
+		},
+		func() string {
+			return fmt.Sprintf("id, mode, r, pad from Gal where typ = %d order by mode, r", 3+3*rng.Intn(2))
+		},
+		func() string { return "r, id from Gal where typ = 3 and mode = 1 order by 1" },
+		func() string { return fmt.Sprintf("* from Gal where id >= %d order by id", rng.Intn(2900)) },
+		func() string {
+			return fmt.Sprintf("id, r from Gal where typ = 3 and mode = 1 and iso > %d order by r", rng.Intn(97))
+		}, // guarded: heap scan
+	}
+	var queries []query
+	for i := 0; i < 48; i++ {
+		queries = append(queries, query{n: 1 + rng.Intn(150), body: shapes[i%len(shapes)]()})
+	}
+	render := func(rows []val.Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprintf("%v", r)
+		}
+		return out
+	}
+	var first [][]string
+	ordered := 0
+	for _, shards := range []int{1, 2, 4, 7} {
+		_, s := tiesDB(t, shards)
+		for qi, q := range queries {
+			full, err := s.Exec("select "+q.body, ExecOptions{})
+			if err != nil {
+				t.Fatalf("%d shards: oracle %q: %v", shards, q.body, err)
+			}
+			want := render(full.Rows)
+			if len(want) > q.n {
+				want = want[:q.n]
+			}
+			if shards == 1 {
+				first = append(first, want)
+			} else if !slices.Equal(want, first[qi]) {
+				t.Fatalf("%d shards: sort oracle for %q differs from the unsharded one", shards, q.body)
+			}
+			top := fmt.Sprintf("select top %d %s", q.n, q.body)
+			for _, opt := range []ExecOptions{{DOP: 1}, {DOP: 4}, {DOP: 1, ForceRowExprs: true}, {DOP: 4, ForceRowExprs: true}} {
+				res, err := s.Exec(top, opt)
+				if err != nil {
+					t.Fatalf("%d shards %+v: %q: %v", shards, opt, top, err)
+				}
+				if got := render(res.Rows); !slices.Equal(got, want) {
+					t.Fatalf("%d shards dop %d row=%v: %q\n got %v\nwant %v\nplan:\n%s",
+						shards, opt.DOP, opt.ForceRowExprs, top, got, want, res.Plan)
+				}
+				if strings.Contains(res.Plan, ", ordered)") {
+					ordered++
+					// The seek must read through the cut's tie group (≈ 120
+					// entries here) and, doubling its batches, may read as
+					// much again — not the 1,440 entries of the prefix.
+					if qi%len(shapes) < 2 && res.RowsScanned > int64(2*(q.n+160)) {
+						t.Errorf("%q scanned %d entries, want at most twice n plus the tie group", top, res.RowsScanned)
+					}
+				}
+			}
+		}
+	}
+	// Seven of the eight shapes are within reach of an index order.
+	if want := 4 * 4 * len(queries) * 7 / 8; ordered != want {
+		t.Errorf("%d executions ran an ordered plan, want %d", ordered, want)
 	}
 }

@@ -693,8 +693,16 @@ type indexScanNode struct {
 	filter   *compiledPred
 	label    string
 	// estRows is the planner's dive-based cardinality estimate (−1 when
-	// unknown), reused for join ordering.
+	// unknown), reused for join ordering. Under ordered it is the number
+	// of entries the scan expects to visit before the top-k stops it.
 	estRows float64
+	// ordered is the n of the TOP n … ORDER BY this access feeds in the
+	// ORDER BY's own order (0 = order not relied on). The first batch is
+	// flushed at n+1 entries — the fewest that can decide the cut — and
+	// the threshold doubles after every flush, so the top-k above stops a
+	// non-covering seek after ~n bookmark lookups instead of a full batch
+	// of them.
+	ordered int
 	// keyDst/inclDst are the compile-time scatter lists for covering
 	// access (see buildScatter).
 	keyDst, inclDst []scatter
@@ -754,6 +762,10 @@ func (s *indexScanNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	ar := ctx.getArena()
 	defer ar.Release()
 	keyDst, inclDst := s.keyDst, s.inclDst
+	flushAt := 0 // full batches only
+	if s.ordered > 0 {
+		flushAt = s.ordered + 1
+	}
 	flush := func() error {
 		wasFull := batch.Full()
 		if err := flushFiltered(ctx, batch, s.filter, ar, emit); err != nil {
@@ -762,6 +774,9 @@ func (s *indexScanNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 		if wasFull && batch.Cap() < val.BatchSize {
 			batch.Release()
 			batch = ctx.getBatch(width, val.BatchSize, s.needed)
+		}
+		if flushAt < val.BatchSize {
+			flushAt *= 2
 		}
 		return nil
 	}
@@ -815,9 +830,13 @@ func (s *indexScanNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 				break
 			}
 		}
-		if batch.Full() {
-			if err := flush(); err != nil {
-				innerErr = err
+		if batch.Full() || batch.Size() == flushAt {
+			// A seek that pays a heap fetch per entry can spend a long
+			// time between the 4,096-entry polls above; poll per batch.
+			if innerErr = ctx.checkDeadline(); innerErr != nil {
+				break
+			}
+			if innerErr = flush(); innerErr != nil {
 				break
 			}
 		}
@@ -836,6 +855,9 @@ func (s *indexScanNode) explainTo(sb *strings.Builder, depth int) {
 		kind = "IndexSeek"
 	}
 	fmt.Fprintf(sb, "%s(%s.%s", kind, s.table.Name, s.index.Name)
+	if s.ordered > 0 {
+		sb.WriteString(", ordered")
+	}
 	if s.covering {
 		sb.WriteString(", covering")
 	}
@@ -2126,12 +2148,21 @@ func (t *topNode) explainTo(sb *strings.Builder, depth int) {
 // materialized state is O(n × workers) rows — never the full input the
 // sort+top stack would have built. The final serial phase sorts the ≤ n·k
 // survivors and emits the first n.
+//
+// ordered marks an input that already arrives sorted by the (all-ascending)
+// keys — an ordered index access. The node then ends its child with
+// errStopEarly at the first row whose keys are strictly greater than the
+// worst retained row's once the heap is full. It still consumes the whole
+// tie group at the cut and still orders by rowLess, so the output is the
+// one the unordered plan produces: index order among equal keys (RIDs, which
+// are shard-tagged) never shows.
 type topKNode struct {
 	child    Node
 	keyPos   []int
 	desc     []bool
 	visible  int
 	n        int
+	ordered  bool
 	keyLabel string
 }
 
@@ -2148,7 +2179,10 @@ type topKHeap struct {
 	spare val.Row // eviction scratch, carved once the heap is full
 }
 
-func (h *topKHeap) offer(t *topKNode, b *val.Batch, i int) {
+// offer considers row i of b for the heap. It reports whether an ordered
+// input is past the cut: the row lost to a full heap on its sort keys alone,
+// so no later row can enter either.
+func (h *topKHeap) offer(t *topKNode, b *val.Batch, i int) (past bool) {
 	if h.spare == nil {
 		r := h.store.NewRow()
 		b.RowAt(i, r)
@@ -2158,14 +2192,24 @@ func (h *topKHeap) offer(t *topKNode, b *val.Batch, i int) {
 			h.spare = h.store.NewRow()
 			h.rows = h.store.Rows()[:t.n]
 		}
-		return
+		return false
 	}
 	b.RowAt(i, h.spare)
 	if !rowLess(h.spare, h.rows[0], t.keyPos, t.desc) {
-		return
+		if t.ordered {
+			// Not less under rowLess: either a sort key differs, and then
+			// it is greater, or only the tie-break lost.
+			for _, p := range t.keyPos {
+				if h.spare[p].Compare(h.rows[0][p]) != 0 {
+					return true
+				}
+			}
+		}
+		return false
 	}
 	h.rows[0], h.spare = h.spare, h.rows[0]
 	h.down(t, 0)
+	return false
 }
 
 func (h *topKHeap) up(t *topKNode, i int) {
@@ -2209,11 +2253,15 @@ func (t *topKNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 		h := &topKHeap{store: ctx.getRowStore(width)}
 		heaps = append(heaps, h)
 		return func(b *val.Batch) error {
-			b.Each(func(i int) { h.offer(t, b, i) })
+			past := false
+			b.Each(func(i int) { past = past || h.offer(t, b, i) })
+			if past {
+				return errStopEarly
+			}
 			return nil
 		}, nil
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errStopEarly) {
 		return err
 	}
 	var all []val.Row
@@ -2244,7 +2292,11 @@ func (t *topKNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 
 func (t *topKNode) explainTo(sb *strings.Builder, depth int) {
 	indent(sb, depth)
-	fmt.Fprintf(sb, "TopK(%d, %s)\n", t.n, t.keyLabel)
+	fmt.Fprintf(sb, "TopK(%d, %s", t.n, t.keyLabel)
+	if t.ordered {
+		sb.WriteString(", ordered")
+	}
+	sb.WriteString(")\n")
 	t.child.explainTo(sb, depth+1)
 }
 

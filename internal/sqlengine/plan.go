@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -57,8 +58,9 @@ type plannedSource struct {
 	width   int
 	pushed  []Expr // single-source conjuncts (incl. inlined view predicate)
 	est     float64
-	// accessNode caches the chosen index path (with its dive-based row
-	// estimate) so join ordering and access building agree.
+	// accessNode is the index path chosen during estimation (with its
+	// dive-based row estimate), nil for a heap scan; access building reuses
+	// it so the two agree.
 	accessNode *indexScanNode
 }
 
@@ -330,7 +332,7 @@ const estFloor = 20
 func (p *planner) planSelect(s *SelectStmt) (Node, error) {
 	// FROM-less SELECT.
 	if len(s.From) == 0 {
-		return p.finishPlan(s, dualNode{}, &scope{})
+		return p.finishPlan(s, dualNode{}, &scope{}, false)
 	}
 
 	// 1. Resolve sources in syntactic order.
@@ -423,11 +425,15 @@ func (p *planner) planSelect(s *SelectStmt) (Node, error) {
 	// (accurate even on skewed columns), a heap scan falls back to
 	// selectivity guesses floored so heavily-filtered big tables never
 	// displace genuinely tiny inputs (TVFs) from the outer side.
+	var want orderWant
+	if len(sources) == 1 {
+		want = wantedOrder(s, sources[0])
+	}
 	for i, src := range sources {
 		if src.table == nil {
 			continue
 		}
-		src.accessNode = p.chooseIndex(src.table, src, needed[i])
+		src.accessNode = p.chooseIndex(src.table, src, needed[i], want)
 		if src.accessNode != nil && src.accessNode.estRows >= 0 {
 			src.est = src.accessNode.estRows
 			if src.est < 1 {
@@ -588,7 +594,9 @@ func (p *planner) planSelect(s *SelectStmt) (Node, error) {
 		root = &filterNode{child: root, cond: cond, label: exprString(andAll(leftovers))}
 	}
 
-	return p.finishPlan(s, root, prefixScope)
+	// Only a lone source is ever offered an order to deliver.
+	ordered := sources[0].accessNode != nil && sources[0].accessNode.ordered > 0
+	return p.finishPlan(s, root, prefixScope, ordered)
 }
 
 // buildAccess picks the access path for one source: index seek, covering
@@ -623,13 +631,9 @@ func (p *planner) buildAccess(src *plannedSource, needed []bool) (Node, error) {
 		return &memScanNode{mem: src.mem, cols: src.cols, filter: filter, label: label}, nil
 	}
 
-	// Base table: use the access path chosen during estimation, or pick
-	// one now (the estimation pass only runs for multi-source plans).
+	// Base table: the access path chosen during estimation (nil = heap scan).
 	t := src.table
 	best := src.accessNode
-	if best == nil {
-		best = p.chooseIndex(t, src, needed)
-	}
 	allNeeded := true
 	for _, n := range needed {
 		if !n {
@@ -744,14 +748,63 @@ const (
 	costUncappedEst = 0.5 // fraction assumed when a dive hits the cap
 )
 
+// orderWant is the one "interesting order" the planner tracks: the table
+// columns a single-table SELECT TOP n … ORDER BY sorts by, all ascending.
+// An index that delivers this order lets the scan stop once n rows have
+// qualified. The zero value wants no order.
+type orderWant struct {
+	cols []int
+	n    int
+}
+
+// wantedOrder derives the statement's orderWant over its only source, or the
+// zero value when the shape is out of reach of an index order: no TOP,
+// DISTINCT, grouping or aggregates, a descending key (the B-tree has no
+// reverse iterator), or a key that is not a plain column of the table.
+func wantedOrder(s *SelectStmt, src *plannedSource) orderWant {
+	if src.table == nil || s.Top <= 0 || len(s.OrderBy) == 0 || s.Distinct || len(s.GroupBy) > 0 || s.Having != nil {
+		return orderWant{}
+	}
+	sc := &scope{cols: src.cols}
+	items, err := expandStars(s.Items, sc)
+	if err != nil {
+		return orderWant{}
+	}
+	for _, it := range items {
+		if hasAgg(it.Expr) {
+			return orderWant{}
+		}
+	}
+	cols := make([]int, 0, len(s.OrderBy))
+	for _, k := range s.OrderBy {
+		if k.Desc {
+			return orderWant{}
+		}
+		e := k.Expr
+		if i := orderKeyItem(e, items); i >= 0 {
+			e = items[i].Expr
+		}
+		c, ok := e.(*ColExpr)
+		if !ok {
+			return orderWant{}
+		}
+		pos, err := sc.resolve(c.Qualifier, c.Name)
+		if err != nil {
+			return orderWant{}
+		}
+		cols = append(cols, pos)
+	}
+	return orderWant{cols: cols, n: s.Top}
+}
+
 // chooseIndex selects the cheapest index access for a table source, or nil
 // for a heap scan.
-func (p *planner) chooseIndex(t *Table, src *plannedSource, needed []bool) *indexScanNode {
+func (p *planner) chooseIndex(t *Table, src *plannedSource, needed []bool, want orderWant) *indexScanNode {
 	selfScope := &scope{cols: src.cols}
 	heapCost := float64(t.Rows()) * costHeapRow
 	best := indexCandidate{cost: heapCost}
 	for _, ix := range t.indexes {
-		cand := p.matchIndex(t, ix, src, selfScope, needed)
+		cand := p.matchIndex(t, ix, src, selfScope, needed, want)
 		if cand == nil {
 			continue
 		}
@@ -764,7 +817,7 @@ func (p *planner) chooseIndex(t *Table, src *plannedSource, needed []bool) *inde
 	return best.node
 }
 
-func (p *planner) matchIndex(t *Table, ix *Index, src *plannedSource, selfScope *scope, needed []bool) *indexCandidate {
+func (p *planner) matchIndex(t *Table, ix *Index, src *plannedSource, selfScope *scope, needed []bool, want orderWant) *indexCandidate {
 	// Coverage: every needed column is in key or included columns.
 	covering := true
 	for col, n := range needed {
@@ -825,20 +878,70 @@ func (p *planner) matchIndex(t *Table, ix *Index, src *plannedSource, selfScope 
 		eqRaw = append(eqRaw, eqExpr)
 		bounded = true
 	}
-	if !bounded && !covering {
-		return nil
-	}
 	total := float64(t.Rows())
 	est := total
 	if bounded {
 		est = p.diveEstimate(ix, eqRaw, loRaw, node.loIncl, hiRaw, node.hiKind, total)
 	}
-	node.estRows = est
 	perRow := costCoveredRow
 	if !covering {
 		perRow = costLookupRow
 	}
+
+	// Ordered access: within the equality-bound prefix the entries arrive
+	// sorted by the remaining key columns, so when those start with the
+	// wanted ORDER BY columns the scan can stop after the TOP n rows that
+	// pass the residual conjuncts (those no seek bound absorbed) — about
+	// n / selectivity(residual) entries by the stats-free guesses. The
+	// guesses cannot tell a rare residual from a common one, and a
+	// non-covering seek that never fills the heap pays a bookmark lookup per
+	// entry of the whole range; so with a residual it is trusted only where
+	// even that worst case stays under a heap scan. A covering one cannot
+	// lose: its worst case is the unordered candidate on the same index.
+	nEq := len(node.eqExprs)
+	if want.n > 0 && len(ix.KeyCols)-nEq >= len(want.cols) && slices.Equal(ix.KeyCols[nEq:nEq+len(want.cols)], want.cols) {
+		pass, filtered := 1.0, false
+		for _, c := range src.pushed {
+			if !seekAbsorbs(c, selfScope, ix.KeyCols[:nEq], ix.KeyCols[nEq]) {
+				pass *= selectivity(c)
+				filtered = true
+			}
+		}
+		if covering || !filtered || est*costLookupRow < total*costHeapRow {
+			node.ordered = want.n
+			est = math.Min(est, float64(want.n)/pass)
+		}
+	}
+	if !bounded && !covering && node.ordered == 0 {
+		return nil
+	}
+	node.estRows = est
 	return &indexCandidate{node: node, cost: est * perRow}
+}
+
+// seekAbsorbs reports whether conjunct c has a shape matchIndex turns into a
+// seek bound: an equality between one of eqCols and a constant, or a constant
+// range on rangeCol.
+func seekAbsorbs(c Expr, sc *scope, eqCols []int, rangeCol int) bool {
+	switch e := c.(type) {
+	case *BinExpr:
+		cols := eqCols
+		switch e.Op {
+		case "=":
+		case "<", "<=", ">", ">=":
+			cols = []int{rangeCol}
+		default:
+			return false
+		}
+		for _, col := range cols {
+			if (colMatches(e.L, sc, col) && constExpr(e.R)) || (colMatches(e.R, sc, col) && constExpr(e.L)) {
+				return true
+			}
+		}
+	case *BetweenExpr:
+		return !e.Not && colMatches(e.X, sc, rangeCol) && constExpr(e.Lo) && constExpr(e.Hi)
+	}
+	return false
 }
 
 // diveEstimate evaluates the constant bounds and counts matching index
@@ -1143,19 +1246,18 @@ func exprOverScope(e Expr, sc *scope) bool {
 	return exprRefs(e, sc, refs) == nil
 }
 
-// finishPlan layers aggregation, projection, distinct, order and top on the
-// join tree.
-func (p *planner) finishPlan(s *SelectStmt, root Node, inputScope *scope) (Node, error) {
-	// Expand stars.
+// expandStars replaces every * and q.* select item with one item per
+// matching column of the scope.
+func expandStars(in []SelectItem, sc *scope) ([]SelectItem, error) {
 	var items []SelectItem
-	for _, item := range s.Items {
+	for _, item := range in {
 		if !item.Star {
 			items = append(items, item)
 			continue
 		}
 		q := fold(item.Qualifier)
 		found := false
-		for _, c := range inputScope.cols {
+		for _, c := range sc.cols {
 			if q != "" && fold(c.Qualifier) != q {
 				continue
 			}
@@ -1172,6 +1274,46 @@ func (p *planner) finishPlan(s *SelectStmt, root Node, inputScope *scope) (Node,
 	if len(items) == 0 {
 		return nil, fmt.Errorf("sql: empty select list")
 	}
+	return items, nil
+}
+
+// outputName is the result-column name of the i-th select item.
+func outputName(it SelectItem, i int) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	return fmt.Sprintf("Column%d", i+1)
+}
+
+// orderKeyItem resolves an ORDER BY key that names a select-list item — by
+// ordinal or by unqualified output name — to that item's position, or −1
+// when the key is an expression of its own.
+func orderKeyItem(k Expr, items []SelectItem) int {
+	switch e := k.(type) {
+	case *LitExpr:
+		if n, ok := e.Val.AsInt(); ok && n >= 1 && int(n) <= len(items) {
+			return int(n) - 1
+		}
+	case *ColExpr:
+		if e.Qualifier == "" {
+			for i, it := range items {
+				if fold(outputName(it, i)) == fold(e.Name) {
+					return i
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// finishPlan layers aggregation, projection, distinct, order and top on the
+// join tree. ordered says the access path below already delivers the ORDER
+// BY order (see wantedOrder), so the top-k may stop its input early.
+func (p *planner) finishPlan(s *SelectStmt, root Node, inputScope *scope, ordered bool) (Node, error) {
+	items, err := expandStars(s.Items, inputScope)
+	if err != nil {
+		return nil, err
+	}
 
 	// Aggregation?
 	needAgg := len(s.GroupBy) > 0 || hasAgg(s.Having)
@@ -1184,7 +1326,6 @@ func (p *planner) finishPlan(s *SelectStmt, root Node, inputScope *scope) (Node,
 	projInputScope := inputScope
 	having := s.Having
 	if needAgg {
-		var err error
 		root, projInputScope, items, having, err = p.buildAgg(s, root, inputScope, items)
 		if err != nil {
 			return nil, err
@@ -1212,11 +1353,7 @@ func (p *planner) finishPlan(s *SelectStmt, root Node, inputScope *scope) (Node,
 			return nil, err
 		}
 		exprs[i] = ce
-		name := it.Alias
-		if name == "" {
-			name = fmt.Sprintf("Column%d", i+1)
-		}
-		outCols[i] = ColRef{Name: name, Kind: inferKind(it.Expr, projInputScope)}
+		outCols[i] = ColRef{Name: outputName(it, i), Kind: inferKind(it.Expr, projInputScope)}
 		labels[i] = exprString(it.Expr)
 		if it.Alias != "" && labels[i] != it.Alias {
 			labels[i] += " AS " + it.Alias
@@ -1229,22 +1366,7 @@ func (p *planner) finishPlan(s *SelectStmt, root Node, inputScope *scope) (Node,
 	var desc []bool
 	var keyLabels []string
 	for _, k := range s.OrderBy {
-		pos := -1
-		switch e := k.Expr.(type) {
-		case *LitExpr:
-			if n, ok := e.Val.AsInt(); ok && n >= 1 && int(n) <= len(items) {
-				pos = int(n) - 1
-			}
-		case *ColExpr:
-			if e.Qualifier == "" {
-				for i, c := range outCols {
-					if fold(c.Name) == fold(e.Name) {
-						pos = i
-						break
-					}
-				}
-			}
-		}
+		pos := orderKeyItem(k.Expr, items)
 		if pos < 0 {
 			ce, err := compileVec(k.Expr, projInputScope, p.db)
 			if err != nil {
@@ -1274,7 +1396,7 @@ func (p *planner) finishPlan(s *SelectStmt, root Node, inputScope *scope) (Node,
 		// TOP n over ORDER BY fuses into bounded per-worker top-k heaps:
 		// peak materialized state is n rows per worker, not the full
 		// sorted result.
-		root = &topKNode{child: root, keyPos: keyPos, desc: desc, visible: len(items), n: s.Top, keyLabel: strings.Join(keyLabels, ", ")}
+		root = &topKNode{child: root, keyPos: keyPos, desc: desc, visible: len(items), n: s.Top, ordered: ordered, keyLabel: strings.Join(keyLabels, ", ")}
 	case len(keyPos) > 0:
 		root = &sortNode{child: root, keyPos: keyPos, desc: desc, visible: len(items), keyLabel: strings.Join(keyLabels, ", ")}
 	case len(hidden) > 0:

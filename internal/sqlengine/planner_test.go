@@ -79,6 +79,71 @@ func TestCoveringBeatsHeapForColumnSubsets(t *testing.T) {
 	}
 }
 
+// TestOrderedAccessChoice pins where the planner lets an index's order stand
+// in for the sort of a TOP n … ORDER BY, and where it must not: both sides
+// of the selective-residual guard, and every shape that falls back to the
+// plain top-k over the old access path.
+func TestOrderedAccessChoice(t *testing.T) {
+	_, s := tiesDB(t, 1)
+	const gal = " from Gal where typ = 3 and mode = 1"
+	for _, c := range []struct {
+		name, sql string
+		plan      []string // substrings of EXPLAIN
+	}{
+		{"gallery, non-covering", "select top 20 id, r, iso" + gal + " order by r asc",
+			[]string{"TopK(20, r ASC, ordered)", "IndexSeek(Gal.ix_typ_mode_r, ordered, filter="}},
+		{"covered", "select top 20 id, r, g" + gal + " order by r",
+			[]string{"TopK(20, r ASC, ordered)", "IndexSeek(Gal.ix_typ_mode_r, ordered, covering"}},
+		{"unbounded non-covering PK", "select top 5 * from Gal order by id",
+			[]string{"TopK(5, id ASC, ordered)", "IndexScan(Gal.pk_Gal, ordered)"}},
+		{"order continues past a range bound", "select top 5 id, iso" + gal + " and r > 4 order by r",
+			[]string{"TopK(5, r ASC, ordered)", "IndexSeek(Gal.ix_typ_mode_r, ordered, filter="}},
+		{"two keys after a one-column prefix", "select top 5 id, pad from Gal where typ = 6 order by mode, r",
+			[]string{"TopK(5, mode ASC, r ASC, ordered)", "IndexSeek(Gal.ix_typ_mode_r, ordered, filter="}},
+		// The guard. iso is in no index: were the residual rare, the
+		// ordered seek would pay a heap fetch for each of the prefix's
+		// 1,440 entries, costlier than scanning the heap's 3,000 rows.
+		{"residual, non-covering, wide range", "select top 10 id, r" + gal + " and iso > 95 order by r",
+			[]string{"TopK(10, r ASC)", "TableScan(Gal"}},
+		// The same residual where the whole range is affordable …
+		{"residual, non-covering, narrow range", "select top 10 id, r" + gal + " and r >= 3 and r < 5 and iso > 95 order by r",
+			[]string{"TopK(10, r ASC, ordered)", "IndexSeek(Gal.ix_typ_mode_r, ordered, filter="}},
+		// … and where it is covered: the worst case is the plan it replaces.
+		{"residual, covering", "select top 10 id, r" + gal + " and g > 9.5 order by r",
+			[]string{"TopK(10, r ASC, ordered)", "IndexSeek(Gal.ix_typ_mode_r, ordered, covering"}},
+		// Out of scope: the old plans.
+		{"descending", "select top 10 id, r" + gal + " order by r desc",
+			[]string{"TopK(10, r DESC)", "IndexSeek(Gal.ix_typ_mode_r, covering"}},
+		{"expression key", "select top 10 id, r" + gal + " order by r + 1",
+			[]string{"TopK(10, (r + 1) ASC)", "IndexSeek(Gal.ix_typ_mode_r, covering"}},
+		{"output alias shadows the column", "select top 10 g as r, id" + gal + " order by r",
+			[]string{"TopK(10, r ASC)", "IndexSeek(Gal.ix_typ_mode_r, covering"}},
+		{"prefix not bound", "select top 10 id, r from Gal where typ = 3 order by r",
+			[]string{"TopK(10, r ASC)", "IndexSeek(Gal.ix_typ_mode_r, covering"}},
+		{"no TOP", "select id, r" + gal + " and r < 1 order by r",
+			[]string{"Sort(r ASC", "IndexSeek(Gal.ix_typ_mode_r, covering"}},
+	} {
+		res, err := s.Exec(c.sql, ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, want := range c.plan {
+			if !strings.Contains(res.Plan, want) {
+				t.Errorf("%s: plan lacks %q:\n%s", c.name, want, res.Plan)
+			}
+		}
+		// An ordered plan is classified by the entries it expects to read.
+		if heap := strings.Contains(res.Plan, "TableScan"); (res.Class == ClassBatch) != heap {
+			t.Errorf("%s: class %v over\n%s", c.name, res.Class, res.Plan)
+		}
+	}
+	// The alias case orders by g, not by the column the index sorts.
+	res := mustExec(t, s, "select top 3 g as r, id"+gal+" order by r")
+	if res.Rows[0][0].F != 0 {
+		t.Errorf("order by an alias that shadows a column sorted by the column: %v", res.Rows)
+	}
+}
+
 func TestJoinGraphAvoidsCrossProducts(t *testing.T) {
 	// A chain A–B–C (eq edges) written with C's predicate against A in
 	// the middle must not plan A×C.

@@ -97,6 +97,38 @@ func TestQueryClassHeaderAndOverride(t *testing.T) {
 	}
 }
 
+// TestDefaultSQLStatementIsInteractive: the statement the SQL page ships in
+// its textarea reads ten entries of the (type, mode, r) index in order, so
+// once its shape is known it classifies interactive, and its result is
+// served from the result cache — a heap-scanning top-k was batch and never
+// filled.
+func TestDefaultSQLStatementIsInteractive(t *testing.T) {
+	sdb := survey(t)
+	srv := NewServer(sdb, Options{Public: true})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	p := ts.URL + "/x/sql?format=csv&cmd=" + urlq("select top 10 objID, ra, dec, r from Galaxy order by r")
+	code, first, _ := get(t, p)
+	if code != http.StatusOK {
+		t.Fatalf("first GET: status %d: %s", code, first)
+	}
+	admitted := srv.Sched().Stats().Admitted
+	code, second, hdr := get(t, p)
+	if code != http.StatusOK || second != first {
+		t.Fatalf("second GET: status %d, body match %v", code, second == first)
+	}
+	if got := hdr.Get("X-Query-Class"); got != "interactive" {
+		t.Errorf("second GET X-Query-Class = %q, want interactive", got)
+	}
+	if st := resultCacheStats(t, ts); st.Fills != 1 || st.Hits != 1 {
+		t.Errorf("result cache fills/hits = %d/%d, want 1/1", st.Fills, st.Hits)
+	}
+	if got := srv.Sched().Stats().Admitted; got != admitted {
+		t.Errorf("the repeat passed admission (admitted %d -> %d), want a cache hit", admitted, got)
+	}
+}
+
 // TestBatchFloodKeepsInteractiveSnappy is the tentpole acceptance test:
 // saturating batch scans — enough concurrent clients to keep the batch
 // queue full for the whole run — must not make the scheduler queue or
